@@ -153,9 +153,10 @@ def dys_complete(inst, policy=None, rule=None, gamma=None, beta=1.0,
 
     The default step-size policy starts at k times the descent-coefficient
     root for (L, l, beta) = (1, 0, beta) and decays per the engine's
-    heuristic; the stop is the masked relative residual of the x iterate
-    dropping below 1e-4. The returned matrix is the final rank-feasible
-    iterate. M_true, when given, is used only to report the relative error.
+    heuristic; the stop is the masked relative residual of the rank-feasible
+    z iterate dropping below 1e-4, the same estimate the baselines test. The
+    returned matrix is that final z iterate. M_true, when given, is used only
+    to report the relative error.
     """
     return _engine_complete(inst, inst.lam, beta, policy, gamma, rule, k,
                             M_true, with_energy)

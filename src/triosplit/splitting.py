@@ -325,7 +325,7 @@ def stationarity_bound(state, gamma, L, beta):
 
 
 def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
-        dual_scale=None, record_energy="auto"):
+        record_energy="auto"):
     """Drive the splitting iteration until a stopping rule fires.
 
     Parameters
@@ -338,8 +338,6 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
     rule : StoppingRule, defaults to the residual pair test
     stop_metric : callable state -> float, recorded each iteration and
         required by the masked_relative mode
-    dual_scale : float multiplying ||z+ - z|| in the dual residual; the
-        default 1.0 keeps both residuals in iterate units
     record_energy : True, False or "auto" (record when value oracles exist)
 
     Returns
@@ -368,6 +366,7 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
     dims = state.x.size
     trace = RunTrace()
     status = MAX_ITER
+    x_norm = float(np.linalg.norm(state.x))
     for t in range(1, rule.max_iter + 1):
         try:
             new = dys_step(problem, state, cur_gamma)
@@ -378,7 +377,7 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
             break
         y_inf = np.max(np.abs(new.y)) if new.y.size else 0.0
         zy = float(np.linalg.norm(new.z - new.y))
-        scale = 1.0 if dual_scale is None else dual_scale
+        prev_x_norm, x_norm = x_norm, float(np.linalg.norm(new.x))
         rec = TraceRecord(
             t=t,
             gamma=cur_gamma,
@@ -386,12 +385,12 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
             dy_norm=float(np.linalg.norm(new.y - state.y)),
             zy_gap=zy,
             r_primal=zy,
-            s_dual=scale * float(np.linalg.norm(new.z - state.z)),
-            x_norm=float(np.linalg.norm(new.x)),
+            s_dual=float(np.linalg.norm(new.z - state.z)),
+            x_norm=x_norm,
             y_norm=float(np.linalg.norm(new.y)),
             z_norm=float(np.linalg.norm(new.z)),
             y_inf=float(y_inf),
-            x_change_ratio=zy / max(float(np.linalg.norm(state.x)), 1.0),
+            x_change_ratio=zy / max(prev_x_norm, 1.0),
             stop_metric=float(stop_metric(new)) if stop_metric is not None else float("nan"),
         )
         trace.append(rec)

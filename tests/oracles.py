@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch with different
 algorithms than the code under test: a one-sided Jacobi SVD, a grid-refine
-scalar prox, plain proximal-gradient descent, and direct transcriptions of
-the two classical splitting schemes.
+scalar prox, plain proximal-gradient descent, a stacked least-squares fit for
+the regularized normal equations, and direct transcriptions of the two
+classical splitting schemes.
 """
 
 import numpy as np
@@ -81,6 +82,20 @@ def ista_lasso(A, b, lam, iters=200000, x0=None):
         w = x - step * g
         x = np.sign(w) * np.maximum(np.abs(w) - step * lam, 0.0)
     return x
+
+
+def augmented_least_squares(A, b, x, mu):
+    """argmin 0.5||A y - b||^2 + 0.5 mu ||y - x||^2 as one least-squares fit.
+
+    Stacks [A; sqrt(mu) I] against [b; sqrt(mu) x] and solves it with the
+    SVD-based lstsq, never forming A^T A or A A^T. Its normal equations are
+    (A^T A + mu I) y = A^T b + mu x.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    M = np.vstack([A, np.sqrt(mu) * np.eye(n)])
+    rhs = np.concatenate([np.asarray(b, dtype=float), np.sqrt(mu) * np.asarray(x, dtype=float)])
+    return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
 def fbs_reference(prox_g, grad_h, x0, gamma, iters):

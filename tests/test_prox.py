@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from triosplit.datagen import DctSpec, gen_dct_matrix
 from triosplit.linalg import ObservationSet
 from triosplit.prox import (GramSolver, grad_frobenius_reg, grad_neg_l2,
                             prox_least_squares, prox_masked_quadratic,
                             rank_projection, soft_threshold)
 
-from oracles import (finite_difference_gradient, prox_by_gradient_descent,
-                     scalar_prox_by_grid)
+from oracles import (augmented_least_squares, finite_difference_gradient,
+                     prox_by_gradient_descent, scalar_prox_by_grid)
 
 
 class TestSoftThreshold:
@@ -169,6 +170,38 @@ class TestProxLeastSquares:
         r1b = solver.solve(0.5, np.zeros(14))
         assert np.array_equal(r1b, np.zeros(14))
         assert np.isfinite(r1).all()
+
+
+class TestGramSolverAccuracy:
+    """The one-pass wide solve on a coherent frame, at the step sizes the
+    sensing solvers use (mu = 1/gamma for dys_l12, mu = rho for the
+    multiplier methods)."""
+
+    @staticmethod
+    def _frame():
+        # oversampled cosine frame, mutual coherence above 0.99
+        return gen_dct_matrix(DctSpec(40, 300, 10), seed=0)
+
+    @pytest.mark.parametrize("mu", [1e-5, 1e-4, 1e-3])
+    def test_forward_error_against_augmented_least_squares(self, mu):
+        A = self._frame()
+        rng = np.random.default_rng(21)
+        b, x = rng.standard_normal(40), rng.standard_normal(300)
+        y = GramSolver(A).solve(mu, A.T @ b + mu * x)
+        ref = augmented_least_squares(A, b, x, mu)
+        assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-10
+
+    def test_switching_step_sizes_matches_fresh_solver(self):
+        A = self._frame()
+        rng = np.random.default_rng(22)
+        solver = GramSolver(A)
+        for mu in (1e-3, 1e-4, 1e-3):
+            rhs = rng.standard_normal(300)
+            assert np.array_equal(solver.solve(mu, rhs), GramSolver(A).solve(mu, rhs))
+        # one factor per step size, one m x n operator in all
+        assert set(solver._factors) == {1e-3, 1e-4}
+        assert all(c.shape == (40, 40) for c, _ in solver._factors.values())
+        assert solver._whitened_mu == 1e-3
 
 
 class TestGradients:
