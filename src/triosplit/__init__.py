@@ -11,9 +11,9 @@ from .datagen import (DctSpec, add_noise, gen_dct_matrix, gen_low_rank,
                       observe, sample_omega, save_instance)
 from .experiments import (ExperimentConfig, PRESETS, ResultTable, build_config,
                           diagnose_gamma, run_experiment)
-from .linalg import (ObservationSet, SvdTriplet, TruncatedSvdError,
-                     gram_spectral_norm, masked_relative_residual,
-                     project_omega, truncated_svd)
+from .linalg import (ObservationSet, SvdTriplet, SvdWarmStart,
+                     TruncatedSvdError, gram_spectral_norm,
+                     masked_relative_residual, project_omega, truncated_svd)
 from .matcomp import (CompletionInstance, CompletionResult, drs_complete,
                       dys_complete, relative_error, rmse, svp_complete,
                       svt_complete)

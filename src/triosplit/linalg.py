@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -96,32 +97,85 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class SvdTriplet:
-    """Leading singular triplet: U (m x k), S (k, nonincreasing), V (n x k)."""
+    """Leading singular triplet: U (m x k), S (k, nonincreasing), V (n x k).
+
+    From the subspace path, ``basis`` is the n x p right basis the iteration
+    ended on, ordered by singular value (its first k columns are V), ready
+    to pass as the next call's ``start``, and ``sweeps`` counts the sweeps
+    the call made. The dense path sets neither (None and 0).
+    """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
+    basis: Optional[np.ndarray] = None
+    sweeps: int = 0
 
     def reconstruct(self):
         return (self.U * self.S) @ self.V.T
 
 
-def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200):
+class SvdWarmStart:
+    """Right basis handed from one truncated SVD to the next within a run.
+
+    A solver passes one instance to every SVD-based call it makes; each call
+    starts from the ``basis`` the previous one ended on (``truncated_svd``'s
+    ``start``) and stores its own. It is per-run state, like
+    ``prox.GramSolver``: a fresh instance repeats a run exactly, and
+    concurrent runs each need their own.
+    """
+
+    def __init__(self):
+        self.basis = None
+
+
+START_BLEND = 10.0  # weight of the Gaussian block in a warm start, in units of sqrt(tol)
+
+
+def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, start=None):
     """Top-k singular triplet of a dense matrix.
 
     Matrices whose smaller dimension is at most ``dense_cutoff`` are handled
-    by a full dense decomposition. Larger ones use randomized block subspace
-    iteration with 8 columns of oversampling, swept until the leading k
-    singular values change by less than ``tol`` relative to the largest one.
+    by a full dense decomposition. Larger ones use block subspace iteration
+    on p = k + 8 columns (Halko, Martinsson and Tropp, SIAM Rev. 2011), swept
+    until the leading k singular values change by less than ``tol`` relative
+    to the largest one between two sweeps.
+
+    A sweep from an orthonormal right basis V (n x p) makes one product
+    each way: ``Q = qr(A V)``, ``B = Q^T A = Ub diag(s) Vb^T``, and ``Vb``,
+    which spans ``A^T Q``, is the next V; s are the estimates. A cold call
+    takes its basis from a seeded Gaussian block G (n x p) through one
+    half-step each way, ``V = qr(A^T qr(A G))``, so it sweeps exactly as the
+    classical iteration that orthonormalizes both ``A V`` and ``A^T Q``.
+
+    ``start`` (n x c), usually the ``basis`` returned by a call on a nearby
+    matrix, replaces those half-steps: its first min(c, p) columns are
+    used and the rest come from G. Pass the whole basis; its columns past k
+    are what make the next call cheap. The start is blended with G at
+    ``10 * sqrt(tol)`` of its norm (1e-4 at the default ``tol``). Without
+    the blend, a start orthogonal to a leading singular vector never finds
+    it and the values settle on the wrong triplet after two sweeps (on a
+    spectrum 10, 9, 8, 5, ... a start orthogonal to v1 gives 9, 8, 5). With
+    it, that direction has a component of order sqrt(tol) that grows every
+    sweep and moves the values by more than ``tol`` until it is captured.
+    That needs the missed value to lead the (p+1)-th clearly (10 against 5
+    does; 5.5 against 5 did not), so starts should come from nearby
+    matrices. The result depends on the start only to within the settling
+    tolerance, as it depends on the seed.
 
     Parameters
     ----------
     A : array, m x n
     k : int, 1 <= k <= min(m, n)
     tol : float, relative settling tolerance for the singular values
-    seed : int or Generator, fixes the randomized start
+    seed : int or Generator, fixes the Gaussian block
     dense_cutoff : int, dimension below which the dense path is used
     max_sweeps : int, sweep cap; exceeding it raises TruncatedSvdError
+    start : array, n x c, optional right basis to start from; ignored on
+        the dense path
+
+    Returns an SvdTriplet; on the subspace path its ``basis`` is the final
+    V and ``sweeps`` the number of sweeps made.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -133,22 +187,31 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200):
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         return SvdTriplet(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
 
-    rng = np.random.default_rng(seed)
     p = min(k + 8, min(m, n))
-    Q = np.linalg.qr(A @ rng.standard_normal((n, p)))[0]
+    G = np.random.default_rng(seed).standard_normal((n, p))
+    if start is None:
+        V = np.linalg.qr(A.T @ np.linalg.qr(A @ G)[0])[0]
+    else:
+        start = as_matrix(start)
+        if start.shape[0] != n:
+            raise ValueError(f"start has {start.shape[0]} rows, expected {n}")
+        c = min(start.shape[1], p)
+        V = G.copy()
+        blend = START_BLEND * np.sqrt(tol) * np.linalg.norm(start[:, :c])
+        V[:, :c] = start[:, :c] + (blend / np.linalg.norm(G[:, :c])) * G[:, :c]
     prev = None
     change = np.inf
-    for _ in range(max_sweeps):
-        Q = np.linalg.qr(A.T @ Q)[0]
-        Q = np.linalg.qr(A @ Q)[0]
-        B = Q.T @ A
-        Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
+    for sweep in range(1, max_sweeps + 1):
+        Q = np.linalg.qr(A @ V)[0]
+        Ub, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
+        V = Vt.T
         top = s[:k]
         if prev is not None:
             scale = max(top[0], np.finfo(float).tiny)
             change = np.max(np.abs(top - prev)) / scale
             if change < tol:
-                return SvdTriplet(Q @ Ub[:, :k], top.copy(), Vt[:k].T.copy())
+                return SvdTriplet(Q @ Ub[:, :k], top.copy(), V[:, :k].copy(),
+                                  basis=V, sweeps=sweep)
         prev = top.copy()
     raise TruncatedSvdError(
         f"singular values did not settle below {tol} in {max_sweeps} sweeps "

@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (ObservationSet, as_matrix, masked_relative_residual,
-                     truncated_svd)
+from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
+                     masked_relative_residual, truncated_svd)
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
 from .splitting import (CONVERGED, DIVERGED, MAX_ITER, RunTrace,
                         StepSizePolicy, StoppingRule, ThreeTermProblem,
@@ -110,12 +110,13 @@ def _masked_metric(X, obs):
 
 def _completion_problem(inst, lam, beta, with_energy):
     obs, r = inst.obs, inst.r
+    warm = SvdWarmStart()  # one per run: each projection starts where the last ended
 
     def prox_f(X, g):
         return prox_masked_quadratic(X, obs, g)
 
     def prox_g(V, g):
-        return rank_projection(V, r)
+        return rank_projection(V, r, warm=warm)
 
     def grad_h(X):
         return grad_frobenius_reg(X, lam)
@@ -195,13 +196,14 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
         step_at = lambda t: float(eta)
 
     X = np.zeros(inst.shape)
+    warm = SvdWarmStart()
     trace = RunTrace()
     status = MAX_ITER
     for t in range(1, rule.max_iter + 1):
         step = step_at(t)
         Y = X.copy()
         Y[obs.rows, obs.cols] -= step * (X[obs.rows, obs.cols] - obs.values)
-        X_new = rank_projection(Y, r)
+        X_new = rank_projection(Y, r, warm=warm)
         if not np.isfinite(X_new).all():
             status = DIVERGED
             break
@@ -217,14 +219,22 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
                             trace=trace, relative_error=err)
 
 
-def shrink_singular_values(X, tau, start_k=4):
+def shrink_singular_values(X, tau, start_k=4, warm=None):
     """All-above-threshold shrinkage: sum of (sigma_j - tau) * u_j v_j^T over
     sigma_j > tau. The factor count is found by growing the truncation width
-    until the smallest computed value falls at or below tau."""
+    until the smallest computed value falls at or below tau; each wider SVD
+    starts from the basis the narrower one ended on.
+
+    Without ``warm`` this is a cold one-shot call: the first SVD starts from
+    a fresh seeded block. With an SvdWarmStart it starts from the basis the
+    previous call ended on, and the new basis is stored for the next one."""
+    if warm is None:
+        warm = SvdWarmStart()
     mindim = min(X.shape)
     k = min(max(int(start_k), 1), mindim)
     while True:
-        t = truncated_svd(X, k)
+        t = truncated_svd(X, k, start=warm.basis)
+        warm.basis = t.basis
         if t.S[-1] <= tau or k == mindim:
             break
         k = min(2 * k, mindim)
@@ -236,10 +246,11 @@ def shrink_singular_values(X, tau, start_k=4):
     return (U * (S - tau)) @ V.T, count
 
 
-def svt_step(X, obs, tau, delta, start_k=4):
+def svt_step(X, obs, tau, delta, start_k=4, warm=None):
     """One shrinkage/dual-update pass: primal Y+ = shrink(X), then the dual
-    steps toward the data on the mask and stays zero elsewhere."""
-    Y_new, rank = shrink_singular_values(X, tau, start_k=start_k)
+    steps toward the data on the mask and stays zero elsewhere. ``warm`` is
+    passed on to shrink_singular_values; without it the call is cold."""
+    Y_new, rank = shrink_singular_values(X, tau, start_k=start_k, warm=warm)
     X_new = np.zeros(X.shape)
     X_new[obs.rows, obs.cols] = (X[obs.rows, obs.cols]
                                  + delta * (obs.values - Y_new[obs.rows, obs.cols]))
@@ -267,8 +278,10 @@ def svt_complete(inst, rule=None, tau=None, delta=None, M_true=None):
     trace = RunTrace()
     status = MAX_ITER
     rank_prev = 0
+    warm = SvdWarmStart()  # each shrinkage starts its SVD where the last ended
     for t in range(1, rule.max_iter + 1):
-        Y_new, X_new, rank_prev = svt_step(X, obs, tau, delta, start_k=rank_prev + 4)
+        Y_new, X_new, rank_prev = svt_step(X, obs, tau, delta, start_k=rank_prev + 4,
+                                           warm=warm)
         if not (np.isfinite(X_new).all() and np.isfinite(Y_new).all()):
             status = DIVERGED
             break

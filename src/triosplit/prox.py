@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .linalg import as_matrix, truncated_svd
+from .linalg import SvdWarmStart, as_matrix, truncated_svd
 
 
 def soft_threshold(v, kappa):
@@ -16,9 +16,18 @@ def soft_threshold(v, kappa):
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def rank_projection(Y, r, tol=1e-10, seed=0):
-    """Nearest matrix of rank at most r: top-r SVD reconstruction."""
-    t = truncated_svd(Y, r, tol=tol, seed=seed)
+def rank_projection(Y, r, tol=1e-10, seed=0, warm=None):
+    """Nearest matrix of rank at most r: top-r SVD reconstruction.
+
+    Without ``warm`` this is a cold one-shot call: the SVD starts from a
+    fresh seeded block. A solver that projects a slowly changing matrix
+    passes one SvdWarmStart to all its calls, so that each SVD starts from
+    the basis the previous one ended on.
+    """
+    if warm is None:
+        warm = SvdWarmStart()
+    t = truncated_svd(Y, r, tol=tol, seed=seed, start=warm.basis)
+    warm.basis = t.basis
     return t.reconstruct()
 
 

@@ -3,8 +3,8 @@
 Everything here is deliberately written from scratch with different
 algorithms than the code under test: a one-sided Jacobi SVD, a grid-refine
 scalar prox, plain proximal-gradient descent, a stacked least-squares fit for
-the regularized normal equations, and direct transcriptions of the two
-classical splitting schemes.
+the regularized normal equations, the classical two-sided block subspace
+iteration, and direct transcriptions of the two classical splitting schemes.
 """
 
 import numpy as np
@@ -144,3 +144,26 @@ def tail_norm(A, k):
     """Frobenius norm of the best-rank-k approximation error, from a full SVD."""
     s = np.linalg.svd(np.asarray(A, float), compute_uv=False)
     return float(np.sqrt(np.sum(s[k:] ** 2)))
+
+
+def two_sided_subspace_sweeps(A, k, tol=1e-10, seed=0, oversampling=8, max_sweeps=200):
+    """Sweeps the classical block subspace iteration takes to settle.
+
+    Starts from Q = qr(A G) with the same seeded Gaussian block G as
+    ``truncated_svd`` and orthonormalizes both half-steps of every sweep,
+    V = qr(A^T Q) then Q = qr(A V), reading the values from the SVD of
+    Q^T A. Returns (sweeps, leading k values) once they change by less than
+    tol relative to the largest between two sweeps.
+    """
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    p = min(k + oversampling, m, n)
+    Q = np.linalg.qr(A @ np.random.default_rng(seed).standard_normal((n, p)))[0]
+    prev = None
+    for sweep in range(1, max_sweeps + 1):
+        Q = np.linalg.qr(A @ np.linalg.qr(A.T @ Q)[0])[0]
+        top = np.linalg.svd(Q.T @ A, compute_uv=False)[:k]
+        if prev is not None and np.max(np.abs(top - prev)) < tol * top[0]:
+            return sweep, top
+        prev = top
+    raise RuntimeError("subspace iteration did not settle")

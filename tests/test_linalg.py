@@ -5,7 +5,7 @@ from triosplit.linalg import (ObservationSet, TruncatedSvdError,
                               gram_spectral_norm, masked_relative_residual,
                               project_omega, truncated_svd)
 
-from oracles import jacobi_svd, tail_norm
+from oracles import jacobi_svd, tail_norm, two_sided_subspace_sweeps
 
 
 def random_obs(rng, rows, cols, count):
@@ -111,6 +111,50 @@ class TestTruncatedSvd:
         A[0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             truncated_svd(A, 1)
+
+
+class TestTruncatedSvdStart:
+    @staticmethod
+    def known_spectrum(n=300, seed=21):
+        rng = np.random.default_rng(seed)
+        s = np.concatenate([[10.0, 9.0, 8.0], np.linspace(5.0, 1.0, n - 3)])
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (U * s) @ V.T, U, s, V
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    def test_start_orthogonal_to_top_vector_finds_it(self, tol):
+        # a full-width start spanning v2..v12 misses v1 entirely; without the
+        # Gaussian blend the values settle on 9, 8, 5 after two sweeps
+        A, U, s, V = self.known_spectrum()
+        t = truncated_svd(A, 3, tol=tol, start=V[:, 1:12])
+        assert np.max(np.abs(t.S - s[:3])) < 10 * tol * s[0]
+        for got, ref in ((t.U, U[:, :3]), (t.V, V[:, :3])):
+            assert np.linalg.norm(got @ got.T - ref @ ref.T) < 1e-3
+
+    def test_cold_call_sweeps_no_more_than_two_sided_iteration(self):
+        rng = np.random.default_rng(8)
+        for shape, k in [((120, 90), 5), ((200, 260), 12)]:
+            A = rng.standard_normal(shape)
+            t = truncated_svd(A, k, dense_cutoff=0)
+            sweeps, top = two_sided_subspace_sweeps(A, k)
+            assert t.sweeps <= sweeps
+            assert np.max(np.abs(t.S - top)) < 1e-8 * top[0]
+
+    def test_returns_exit_basis_and_accepts_any_start_width(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((90, 70))
+        t = truncated_svd(A, 4, dense_cutoff=0)
+        assert t.basis.shape == (70, 12)
+        assert np.allclose(t.basis.T @ t.basis, np.eye(12), atol=1e-10)
+        assert np.array_equal(t.basis[:, :4], t.V)
+        # narrower starts are filled from the seeded block, wider ones cut
+        for start in (t.basis[:, :4], t.basis, np.hstack([t.basis, t.basis])):
+            w = truncated_svd(A, 4, dense_cutoff=0, start=start)
+            assert np.max(np.abs(w.S - t.S)) < 1e-8 * t.S[0]
+        assert truncated_svd(A[:, :50], 4).basis is None  # dense path
+        with pytest.raises(ValueError, match="rows"):
+            truncated_svd(A, 4, dense_cutoff=0, start=t.basis[:60])
 
 
 class TestProjectOmega:

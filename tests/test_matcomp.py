@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from triosplit import linalg, matcomp, prox
 from triosplit.datagen import gen_low_rank, observe, sample_omega
 from triosplit.linalg import ObservationSet, masked_relative_residual
 from triosplit.matcomp import (CompletionInstance, drs_complete, dys_complete,
@@ -172,6 +173,59 @@ class TestSvtComplete:
         s = np.linalg.svd(res.X_opt, compute_uv=False)
         rank = int(np.count_nonzero(s > 1e-8 * s[0]))
         assert rank >= 1  # not pinned to inst.r by construction
+
+
+class SvdCalls:
+    """Wraps truncated_svd where the solvers look it up, counting sweeps;
+    with cold=True every start basis is dropped, so each SVD is one-shot."""
+
+    def __init__(self, monkeypatch, cold):
+        self.sweeps = 0
+        self.cold = cold
+        for module in (prox, matcomp):
+            monkeypatch.setattr(module, "truncated_svd", self)
+
+    def __call__(self, A, k, **kwargs):
+        if self.cold:
+            kwargs["start"] = None
+        t = linalg.truncated_svd(A, k, **kwargs)
+        self.sweeps += t.sweeps
+        return t
+
+
+@pytest.fixture(scope="module")
+def tiny_instance():
+    # above truncated_svd's dense cutoff, so every SVD is subspace iteration
+    return make_instance(80, 3, 0.4, 1.5e-6, seed=0)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
+    def test_warm_run_matches_one_shot_run(self, solver, tiny_instance, monkeypatch):
+        inst, M = tiny_instance
+        warm = solver(inst, M_true=M)
+        SvdCalls(monkeypatch, cold=True)
+        cold = solver(inst, M_true=M)
+        assert warm.status == cold.status == CONVERGED
+        assert warm.iterations == cold.iterations
+        assert np.linalg.norm(warm.X_opt - cold.X_opt) <= 1e-6 * np.linalg.norm(cold.X_opt)
+
+    def test_warm_shrinkage_halves_svd_sweeps(self, tiny_instance, monkeypatch):
+        inst, M = tiny_instance
+        sweeps = []
+        for cold in (False, True):
+            with monkeypatch.context() as patch:
+                calls = SvdCalls(patch, cold)
+                svt_complete(inst, M_true=M)
+            sweeps.append(calls.sweeps)
+        assert 0 < sweeps[0] <= 0.5 * sweeps[1]
+
+    def test_shrinkage_reruns_are_identical(self, tiny_instance):
+        # the basis lives in the run, so a second run starts cold like the first
+        inst, M = tiny_instance
+        a, b = svt_complete(inst, M_true=M), svt_complete(inst, M_true=M)
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.X_opt, b.X_opt)
 
 
 class TestMetrics:
