@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .linalg import as_matrix, as_vector, gram_spectral_norm
 from .prox import GramSolver, grad_neg_l2, soft_threshold
+# the benchmark hooks run and check_stop here (check_stop is imported only for it)
 from .splitting import (CONVERGED, DIVERGED, MAX_ITER, RunTrace, StepSizePolicy,
-                        StoppingRule, ThreeTermProblem, TraceRecord, check_stop,
-                        max_step_size, run)
+                        StoppingRule, ThreeTermProblem, _iterate,
+                        check_stop, max_step_size, run)
 
 SUCCESS_THRESHOLD = 1e-4
 SPARSITY_TRUNCATION = 5e-6
@@ -120,15 +122,7 @@ class RecoveryReport:
         return self
 
 
-def _multiplier_record(t, rho, dy, r, s, x_norm, y_norm, z_norm):
-    nan = float("nan")
-    return TraceRecord(t=t, gamma=nan, energy=nan, dy_norm=dy, zy_gap=r,
-                       r_primal=r, s_dual=s, x_norm=x_norm, y_norm=y_norm,
-                       z_norm=z_norm, y_inf=nan, x_change_ratio=nan, stop_metric=nan)
-
-
-def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None,
-                     solver=None, trace=None):
+def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=None):
     """Shared core of the multiplier methods.
 
     Iterates a regularized least-squares step (with an optional constant
@@ -139,37 +133,31 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None,
         x+ = x + rho (y+ - z+)
     The x feedback in the first step is unscaled; scaling it by rho would
     decouple the dual from the least-squares step and stall convergence.
+    Returns ((y, z, x), trace, status); a non-finite step ends the run
+    diverged with the last finite triple.
     """
     n = A.shape[1]
     solver = GramSolver(A) if solver is None else solver
-    trace = RunTrace() if trace is None else trace
     Atb = A.T @ b
     rhs_const = Atb if shift is None else Atb + shift
-    z = np.zeros(n) if z0 is None else z0.copy()
-    x = np.zeros(n) if x0 is None else x0.copy()
-    y = np.zeros(n)
-    status = MAX_ITER
-    iterations = 0
-    for k in range(1, rule.max_iter + 1):
-        y_prev = y
+
+    def advance(state, t):
+        _, z, x = state
         y = solver.solve(rho, rhs_const + rho * z - x)
         z_new = soft_threshold(y + x / rho, lam / rho)
-        x = x + rho * (y - z_new)
-        if not (np.isfinite(y).all() and np.isfinite(z_new).all() and np.isfinite(x).all()):
-            status = DIVERGED
-            iterations = k
-            break
-        r = float(np.linalg.norm(y - z_new))
-        s = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        trace.append(_multiplier_record(k, rho, float(np.linalg.norm(y - y_prev)), r, s,
-                                        float(np.linalg.norm(x)), float(np.linalg.norm(y)),
-                                        float(np.linalg.norm(z))))
-        iterations = k
-        if check_stop(rule, trace, n):
-            status = CONVERGED
-            break
-    return y, z, x, iterations, status, trace
+        return y, z_new, x + rho * (y - z_new)
+
+    def measure(old, new, t):
+        y, z, x = new
+        r = float(np.linalg.norm(y - z))
+        return SimpleNamespace(t=t, dy_norm=float(np.linalg.norm(y - old[0])), zy_gap=r,
+                               r_primal=r, s_dual=rho * float(np.linalg.norm(z - old[1])),
+                               x_norm=float(np.linalg.norm(x)), y_norm=float(np.linalg.norm(y)),
+                               z_norm=float(np.linalg.norm(z)))
+
+    start = (np.zeros(n), np.zeros(n) if z0 is None else z0.copy(),
+             np.zeros(n) if x0 is None else x0.copy())
+    return _iterate(advance, measure, start, rule)
 
 
 def noise_scaled_weight(A, sigma):
@@ -203,9 +191,9 @@ def admm_lasso(inst, rule=None, lam=None, rho=None):
     rho = _pick(rho, inst.rho, ADMM_RHO)
     if lam < 0 or rho <= 0:
         raise ValueError("need lam >= 0 and rho > 0")
-    y, z, x, iters, status, _ = _multiplier_loop(inst.A, inst.b, lam, rho, rule)
-    report = RecoveryReport(x_opt=z, iterations=iters, status=status,
-                            end_state=dict(y=y, z=z, x=x, lam=lam, rho=rho))
+    (y, z, x), trace, status = _multiplier_loop(inst.A, inst.b, lam, rho, rule)
+    report = RecoveryReport(x_opt=z, iterations=len(trace), status=status,
+                            end_state=dict(y=y, z=z, x=x, lam=lam, rho=rho), trace=trace)
     return report.attach_metrics(inst.x_true)
 
 
@@ -226,6 +214,7 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     solution is the unthresholded least-squares iterate y of the last inner
     pass, not its thresholded consensus iterate z (admm_lasso reports z), so
     its truncated sparsity counts small entries the threshold would zero.
+    The report's trace is that of the last inner pass.
     """
     if inner_rule is None:
         inner_rule = StoppingRule(max_iter=5000)
@@ -242,10 +231,10 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     for _ in range(outer_max):
         ny = np.linalg.norm(y_outer)
         shift = (lam / ny) * y_outer if ny > 0 else None
-        y, z, x, iters, inner_status, _ = _multiplier_loop(
+        (y, z, x), trace, inner_status = _multiplier_loop(
             inst.A, inst.b, lam, rho, inner_rule, shift=shift, z0=z0, x0=x0,
             solver=solver)
-        total += iters
+        total += len(trace)
         if inner_status == DIVERGED:
             status = DIVERGED
             break
@@ -256,7 +245,8 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
             break
     report = RecoveryReport(x_opt=y_outer, iterations=total, status=status,
                             end_state=dict(y=y_outer, z=z0, x=x0, lam=lam,
-                                           rho=rho, shift=shift))
+                                           rho=rho, shift=shift),
+                            trace=trace)
     return report.attach_metrics(inst.x_true)
 
 

@@ -150,12 +150,29 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _write_entries(f, obs):
+    """One `row col value` line per observed entry."""
+    for r, c, v in zip(obs.rows, obs.cols, obs.values):
+        f.write(f"{r} {c} {_fmt(v)}\n")
+
+
+def _read_entries(f, count, shape):
+    """Read count `row col value` lines into an observation set of the shape."""
+    rows, cols, values = [], [], []
+    for _ in range(count):
+        r, c, v = f.readline().split()
+        rows.append(int(r))
+        cols.append(int(c))
+        values.append(float(v))
+    return ObservationSet(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                          np.array(values), shape)
+
+
 def save_observations(path, obs):
     with open(path, "w") as f:
         f.write(_OBS_MAGIC + "\n")
         f.write(f"{obs.shape[0]} {obs.shape[1]} {len(obs)}\n")
-        for r, c, v in zip(obs.rows, obs.cols, obs.values):
-            f.write(f"{r} {c} {_fmt(v)}\n")
+        _write_entries(f, obs)
 
 
 def load_observations(path):
@@ -163,14 +180,7 @@ def load_observations(path):
         if f.readline().strip() != _OBS_MAGIC:
             raise ValueError(f"{path}: not an observation file")
         rows_n, cols_n, count = (int(tok) for tok in f.readline().split())
-        rows, cols, values = [], [], []
-        for _ in range(count):
-            r, c, v = f.readline().split()
-            rows.append(int(r))
-            cols.append(int(c))
-            values.append(float(v))
-    return ObservationSet(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                          np.array(values), (rows_n, cols_n))
+        return _read_entries(f, count, (rows_n, cols_n))
 
 
 def save_instance(path, inst):
@@ -192,8 +202,7 @@ def save_instance(path, inst):
             f.write(f"rank {inst.r}\n")
             f.write(f"lam {_fmt(inst.lam)}\n")
             f.write(f"count {len(inst.obs)}\n")
-            for r, c, v in zip(inst.obs.rows, inst.obs.cols, inst.obs.values):
-                f.write(f"{r} {c} {_fmt(v)}\n")
+            _write_entries(f, inst.obs)
         elif isinstance(inst, SensingInstance):
             f.write("kind sensing\n")
             f.write(f"shape {inst.m} {inst.n}\n")
@@ -216,19 +225,11 @@ def load_instance(path):
             raise ValueError(f"{path}: not an instance file")
         kind = f.readline().split()[1]
         if kind == "completion":
-            _, rows_n, cols_n = f.readline().split()
+            shape = tuple(int(tok) for tok in f.readline().split()[1:])
             rank = int(f.readline().split()[1])
             lam = float(f.readline().split()[1])
             count = int(f.readline().split()[1])
-            rows, cols, values = [], [], []
-            for _ in range(count):
-                r, c, v = f.readline().split()
-                rows.append(int(r))
-                cols.append(int(c))
-                values.append(float(v))
-            obs = ObservationSet(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                                 np.array(values), (int(rows_n), int(cols_n)))
-            return CompletionInstance(obs, (int(rows_n), int(cols_n)), rank, lam)
+            return CompletionInstance(_read_entries(f, count, shape), shape, rank, lam)
         if kind == "sensing":
             _, m, n = f.readline().split()
             m, n = int(m), int(n)

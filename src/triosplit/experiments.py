@@ -222,26 +222,20 @@ class ResultTable:
         return [r for r in self.rows if all(r.get(k) == v for k, v in match.items())]
 
     def to_csv(self, f):
-        if hasattr(f, "write"):
-            self._write_csv(f)
-        else:
+        if not hasattr(f, "write"):
             with open(f, "w") as handle:
-                self._write_csv(handle)
-
-    def _write_csv(self, handle):
-        handle.write(f"#schema={self.schema}\n")
-        handle.write(",".join(self.columns) + "\n")
+                return self.to_csv(handle)
+        f.write(f"#schema={self.schema}\n")
+        f.write(",".join(self.columns) + "\n")
         for row in self.rows:
-            handle.write(",".join(_cell(row[c]) for c in self.columns) + "\n")
+            f.write(",".join(_cell(row[c]) for c in self.columns) + "\n")
 
     def to_json(self, f):
-        payload = {"schema": self.schema, "columns": list(self.columns), "rows": self.rows}
-        text = json.dumps(payload, indent=2, allow_nan=True) + "\n"
-        if hasattr(f, "write"):
-            f.write(text)
-        else:
+        if not hasattr(f, "write"):
             with open(f, "w") as handle:
-                handle.write(text)
+                return self.to_json(handle)
+        payload = {"schema": self.schema, "columns": list(self.columns), "rows": self.rows}
+        f.write(json.dumps(payload, indent=2, allow_nan=True) + "\n")
 
     def write(self, f, fmt="csv"):
         if fmt == "csv":
@@ -256,7 +250,7 @@ def _cell(value):
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float64 reprs as np.float64(...)
     return str(value)
 
 

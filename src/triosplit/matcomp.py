@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -23,9 +24,10 @@ import numpy as np
 from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
                      masked_relative_residual, truncated_svd)
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
-from .splitting import (CONVERGED, DIVERGED, MAX_ITER, RunTrace,
-                        StepSizePolicy, StoppingRule, ThreeTermProblem,
-                        TraceRecord, check_stop, max_step_size, run)
+# the benchmark hooks run and check_stop here (check_stop is imported only for it)
+from .splitting import (RunTrace, StepSizePolicy, StoppingRule,
+                        ThreeTermProblem, _iterate, check_stop,
+                        max_step_size, run)
 
 DEFAULT_LAMBDA = 1.5e-6
 DEFAULT_K = 1e6
@@ -174,13 +176,6 @@ def drs_complete(inst, policy=None, rule=None, gamma=None, k=DEFAULT_K,
                             M_true, with_energy)
 
 
-def _baseline_record(t, step, change, x_norm, metric):
-    nan = float("nan")
-    return TraceRecord(t=t, gamma=step, energy=nan, dy_norm=change, zy_gap=nan,
-                       r_primal=nan, s_dual=nan, x_norm=x_norm, y_norm=nan,
-                       z_norm=nan, y_inf=nan, x_change_ratio=nan, stop_metric=metric)
-
-
 def svp_complete(inst, rule=None, eta=None, M_true=None):
     """Projected gradient baseline: gradient step on the mask, then rank
     truncation. The default step schedule is 1 / (p * sqrt(t)); pass a float
@@ -194,26 +189,23 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
         step_at = eta
     else:
         step_at = lambda t: float(eta)
-
-    X = np.zeros(inst.shape)
     warm = SvdWarmStart()
-    trace = RunTrace()
-    status = MAX_ITER
-    for t in range(1, rule.max_iter + 1):
+    step = None
+
+    def advance(state, t):
+        nonlocal step
+        (X,) = state
         step = step_at(t)
         Y = X.copy()
         Y[obs.rows, obs.cols] -= step * (X[obs.rows, obs.cols] - obs.values)
-        X_new = rank_projection(Y, r, warm=warm)
-        if not np.isfinite(X_new).all():
-            status = DIVERGED
-            break
-        metric = _masked_metric(X_new, obs)
-        trace.append(_baseline_record(t, step, float(np.linalg.norm(X_new - X)),
-                                      float(np.linalg.norm(X_new)), metric))
-        X = X_new
-        if check_stop(rule, trace, X.size):
-            status = CONVERGED
-            break
+        return (rank_projection(Y, r, warm=warm),)
+
+    def measure(old, new, t):
+        return SimpleNamespace(t=t, gamma=step, dy_norm=float(np.linalg.norm(new[0] - old[0])),
+                               x_norm=float(np.linalg.norm(new[0])),
+                               stop_metric=_masked_metric(new[0], obs))
+
+    (X,), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),), rule)
     err = relative_error(X, M_true) if M_true is not None else None
     return CompletionResult(X_opt=X, iterations=len(trace), status=status,
                             trace=trace, relative_error=err)
@@ -273,25 +265,21 @@ def svt_complete(inst, rule=None, tau=None, delta=None, M_true=None):
     if tau <= 0 or delta <= 0:
         raise ValueError("tau and delta must be positive")
 
-    X = np.zeros(inst.shape)  # dual, kept supported on the mask
-    Y = np.zeros(inst.shape)
-    trace = RunTrace()
-    status = MAX_ITER
-    rank_prev = 0
     warm = SvdWarmStart()  # each shrinkage starts its SVD where the last ended
-    for t in range(1, rule.max_iter + 1):
-        Y_new, X_new, rank_prev = svt_step(X, obs, tau, delta, start_k=rank_prev + 4,
-                                           warm=warm)
-        if not (np.isfinite(X_new).all() and np.isfinite(Y_new).all()):
-            status = DIVERGED
-            break
-        metric = _masked_metric(Y_new, obs)
-        trace.append(_baseline_record(t, delta, float(np.linalg.norm(Y_new - Y)),
-                                      float(np.linalg.norm(X_new)), metric))
-        X, Y = X_new, Y_new
-        if check_stop(rule, trace, X.size):
-            status = CONVERGED
-            break
+    rank = 0
+
+    def advance(state, t):  # state is (dual X, kept supported on the mask, primal Y)
+        nonlocal rank
+        Y_new, X_new, rank = svt_step(state[0], obs, tau, delta, start_k=rank + 4, warm=warm)
+        return X_new, Y_new
+
+    def measure(old, new, t):
+        X_new, Y_new = new
+        return SimpleNamespace(t=t, gamma=delta, dy_norm=float(np.linalg.norm(Y_new - old[1])),
+                               x_norm=float(np.linalg.norm(X_new)),
+                               stop_metric=_masked_metric(Y_new, obs))
+
+    (_, Y), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),) * 2, rule)
     err = relative_error(Y, M_true) if M_true is not None else None
     return CompletionResult(X_opt=Y, iterations=len(trace), status=status,
                             trace=trace, relative_error=err)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +52,10 @@ class SplittingState:
     def __post_init__(self):
         if not (self.x.shape == self.y.shape == self.z.shape):
             raise ValueError("x, y, z must share one shape")
+
+    def __iter__(self):
+        """The arrays x, y, z, in that order."""
+        return iter((self.x, self.y, self.z))
 
     @classmethod
     def initial(cls, x0):
@@ -143,64 +148,69 @@ class StoppingRule:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {STOP_MODES}")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """Diagnostics for one iteration."""
-
-    t: int
-    gamma: float
-    energy: float
-    dy_norm: float
-    zy_gap: float
-    r_primal: float
-    s_dual: float
-    x_norm: float
-    y_norm: float
-    z_norm: float
-    y_inf: float
-    x_change_ratio: float
-    stop_metric: float
-
-
 class RunTrace:
-    """Per-iteration records of a run, serializable to CSV."""
+    """Per-iteration diagnostics of a run, held column by column.
+
+    A row is a SimpleNamespace of floats, one attribute per column, always
+    with the iteration t. The trace stores the rows in one float64 array
+    with a contiguous column per name the method records (see README),
+    doubling its length as rows arrive; column() of any other name raises
+    KeyError, and an empty trace reads every column as an empty array.
+    """
 
     CSV_COLUMNS = ("iter", "gamma", "energy", "dy_norm", "zy_gap", "r_primal", "s_dual")
 
     def __init__(self):
-        self.records = []
+        self._names = ()
+        self._data = None
+        self._len = 0
+        self._last = None
 
-    def append(self, record):
-        self.records.append(record)
+    def append(self, row):
+        """Add a row; every row of a trace has the first row's columns, in order."""
+        values = vars(row)
+        names, n = tuple(values), self._len
+        if n == 0:
+            self._names = names
+            self._data = np.empty((16, len(names)), order="F")
+        elif names != self._names:
+            raise ValueError(f"row columns {names} differ from the trace's {self._names}")
+        elif n == len(self._data):
+            self._data = np.concatenate((self._data, np.empty_like(self._data)))
+        self._data[n] = tuple(values.values())
+        self._len = n + 1
+        self._last = row
 
     def __len__(self):
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+        return self._len
 
     @property
     def last(self):
-        return self.records[-1]
+        if self._last is None:
+            raise IndexError("trace is empty")
+        return self._last
 
     def column(self, name):
+        if self._len == 0:
+            return np.empty(0)
         key = "t" if name == "iter" else name
-        return np.array([getattr(r, key) for r in self.records])
+        if key not in self._names:
+            raise KeyError(f"the trace has no {name!r} column")
+        return self._data[:self._len, self._names.index(key)].copy()
 
     def to_csv(self, f):
-        """Write the trace; accepts a path or an open text file."""
-        if hasattr(f, "write"):
-            self._write(f)
-        else:
+        """Write the trace; accepts a path or an open text file. A column the
+        method does not record is written as nan."""
+        if not hasattr(f, "write"):
             with open(f, "w") as handle:
-                self._write(handle)
-
-    def _write(self, handle):
-        handle.write(",".join(self.CSV_COLUMNS) + "\n")
-        for r in self.records:
-            vals = (r.t, r.gamma, r.energy, r.dy_norm, r.zy_gap, r.r_primal, r.s_dual)
-            handle.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in vals))
-            handle.write("\n")
+                return self.to_csv(handle)
+        f.write(",".join(self.CSV_COLUMNS) + "\n")
+        cols = [self._names.index(name) if name in self._names else None
+                for name in ("t",) + self.CSV_COLUMNS[1:]]
+        for row in self._data[:self._len]:
+            cells = [str(int(row[cols[0]]))]
+            cells += ["nan" if j is None else repr(float(row[j])) for j in cols[1:]]
+            f.write(",".join(cells) + "\n")
 
 
 @dataclass
@@ -288,32 +298,28 @@ def energy(problem, state, gamma):
     return base + q_plus - q_minus - gap
 
 
-def adapt_gamma(policy, gamma, trace):
-    """Next step size under the decay heuristic, given the latest record."""
+def adapt_gamma(policy, gamma, row):
+    """Next step size under the decay heuristic, given the latest trace row."""
     if gamma <= policy.gamma0:
         return gamma
-    rec = trace.last
-    fast = rec.dy_norm > policy.divergence_speed / rec.t
-    large = rec.y_inf > policy.magnitude_cap
+    fast = row.dy_norm > policy.divergence_speed / row.t
+    large = row.y_inf > policy.magnitude_cap
     if fast or large:
         return max(gamma / 2.0, policy.decay_floor * policy.gamma0)
     return gamma
 
 
-def check_stop(rule, trace, dims):
-    """Whether the latest record satisfies the rule's inequalities."""
-    if len(trace) == 0:
-        raise ValueError("trace is empty")
-    rec = trace.last
+def check_stop(rule, row, dims):
+    """Whether a trace row satisfies the rule's inequalities."""
     if rule.mode == "residual_pair":
         base = math.sqrt(dims) * rule.eps_abs
-        ok_r = rec.r_primal <= base + rule.eps_rel * max(rec.y_norm, rec.z_norm)
-        ok_s = rec.s_dual <= base + rule.eps_rel * rec.x_norm
+        ok_r = row.r_primal <= base + rule.eps_rel * max(row.y_norm, row.z_norm)
+        ok_s = row.s_dual <= base + rule.eps_rel * row.x_norm
         return ok_r and ok_s
     if rule.mode == "masked_relative":
-        return rec.stop_metric < rule.eps_rel
+        return row.stop_metric < rule.eps_rel
     # iterate_change
-    return rec.x_change_ratio < rule.eps_rel
+    return row.x_change_ratio < rule.eps_rel
 
 
 def stationarity_bound(state, gamma, L, beta):
@@ -362,45 +368,61 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
     else:
         cur_gamma = 0.99 * max_step_size(problem.L, problem.l, problem.beta)
 
-    state = SplittingState.initial(x0)
-    dims = state.x.size
-    trace = RunTrace()
-    status = MAX_ITER
-    x_norm = float(np.linalg.norm(state.x))
-    for t in range(1, rule.max_iter + 1):
+    start = SplittingState.initial(x0)
+    x_norm = float(np.linalg.norm(start.x))
+
+    def advance(state, t):
         try:
-            new = dys_step(problem, state, cur_gamma)
+            return dys_step(problem, state, cur_gamma)
         except Exception as exc:
             raise OracleError(f"oracle failure at iteration {t} (gamma={cur_gamma!r})") from exc
-        if not (np.isfinite(new.x).all() and np.isfinite(new.y).all() and np.isfinite(new.z).all()):
-            status = DIVERGED
-            break
-        y_inf = np.max(np.abs(new.y)) if new.y.size else 0.0
+
+    def measure(old, new, t):
+        nonlocal cur_gamma, x_norm
         zy = float(np.linalg.norm(new.z - new.y))
         prev_x_norm, x_norm = x_norm, float(np.linalg.norm(new.x))
-        rec = TraceRecord(
-            t=t,
-            gamma=cur_gamma,
-            energy=float(energy(problem, new, cur_gamma)) if record_energy else float("nan"),
-            dy_norm=float(np.linalg.norm(new.y - state.y)),
-            zy_gap=zy,
-            r_primal=zy,
-            s_dual=float(np.linalg.norm(new.z - state.z)),
-            x_norm=x_norm,
-            y_norm=float(np.linalg.norm(new.y)),
-            z_norm=float(np.linalg.norm(new.z)),
-            y_inf=float(y_inf),
-            x_change_ratio=zy / max(prev_x_norm, 1.0),
-            stop_metric=float(stop_metric(new)) if stop_metric is not None else float("nan"),
-        )
-        trace.append(rec)
-        state = new
-        if y_inf > 1e30:
-            status = DIVERGED
-            break
-        if check_stop(rule, trace, dims):
-            status = CONVERGED
-            break
-        if policy is not None:
-            cur_gamma = adapt_gamma(policy, cur_gamma, trace)
+        row = SimpleNamespace(t=t, gamma=cur_gamma, dy_norm=float(np.linalg.norm(new.y - old.y)),
+                              zy_gap=zy, r_primal=zy, s_dual=float(np.linalg.norm(new.z - old.z)),
+                              x_norm=x_norm, y_norm=float(np.linalg.norm(new.y)),
+                              z_norm=float(np.linalg.norm(new.z)),
+                              y_inf=float(np.max(np.abs(new.y))) if new.y.size else 0.0,
+                              x_change_ratio=zy / max(prev_x_norm, 1.0))
+        if record_energy:
+            row.energy = float(energy(problem, new, cur_gamma))
+        if stop_metric is not None:
+            row.stop_metric = float(stop_metric(new))
+        if policy is not None:  # the step size of the next iteration
+            cur_gamma = adapt_gamma(policy, cur_gamma, row)
+        return row
+
+    state, trace, status = _iterate(advance, measure, start, rule)
     return RunResult(state=state, trace=trace, status=status)
+
+
+def _iterate(advance, measure, start, rule):
+    """The one iteration loop behind every solver; returns (state, trace, status).
+
+    advance(state, t) returns iteration t's state, an iterable of arrays (a
+    SplittingState or a tuple); measure(old, new, t) returns its trace row
+    (see RunTrace) once every array of the new state is finite. check_stop
+    scales its tolerances by the size of the state's first array. A
+    non-finite state ends the run diverged, keeping the last finite state
+    and not counting the failed iteration, so the count is always
+    len(trace); a recorded y_inf above 1e30 ends it diverged at that state.
+    """
+    dims = next(iter(start)).size
+    trace = RunTrace()
+    state = start
+    for t in range(1, rule.max_iter + 1):
+        new = advance(state, t)
+        for array in new:
+            if not np.isfinite(array).all():
+                return state, trace, DIVERGED
+        row = measure(state, new, t)
+        trace.append(row)
+        state = new
+        if getattr(row, "y_inf", 0.0) > 1e30:
+            return state, trace, DIVERGED
+        if check_stop(rule, row, dims):
+            return state, trace, CONVERGED
+    return state, trace, MAX_ITER

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from triosplit.cs import (SPARSITY_TRUNCATION, SensingInstance, admm_lasso,
-                          dca_l12, dys_l12, evaluate, noise_scaled_weight,
-                          truncated_sparsity)
+from triosplit import cs
+from triosplit.cs import (SPARSITY_TRUNCATION, SensingInstance, _multiplier_loop,
+                          admm_lasso, dca_l12, dys_l12, evaluate,
+                          noise_scaled_weight, truncated_sparsity)
 from triosplit.datagen import DctSpec, gen_dct_matrix, gen_sparse_signal
 from triosplit.prox import GramSolver, grad_neg_l2, soft_threshold
-from triosplit.splitting import CONVERGED, MAX_ITER, StoppingRule
+from triosplit.splitting import CONVERGED, DIVERGED, MAX_ITER, StoppingRule
 
 from oracles import ista_lasso
 
@@ -27,6 +28,19 @@ def dct_instance(rng, m=100, n=1500, s=5, F=10, sigma=0.0):
     if sigma > 0:
         b = b + sigma * rng.standard_normal(m)
     return SensingInstance(A, b, x_true=x)
+
+
+class NanOnThirdSolve:
+    """Gram solver stand-in whose third solve returns NaN."""
+
+    def __init__(self, A):
+        self.solver = GramSolver(A)
+        self.calls = 0
+
+    def solve(self, mu, rhs):
+        self.calls += 1
+        y = self.solver.solve(mu, rhs)
+        return np.full_like(y, np.nan) if self.calls == 3 else y
 
 
 class TestSensingInstance:
@@ -121,6 +135,47 @@ class TestAdmmLasso:
         move = np.linalg.norm(z1 - rep.x_opt)
         budget = 10 * (rule.eps_abs * np.sqrt(inst.n) + rule.eps_rel * np.linalg.norm(rep.x_opt))
         assert move < budget
+
+
+class TestMultiplierLoop:
+    def test_nan_solve_keeps_last_finite_triple(self):
+        rng = np.random.default_rng(17)
+        inst = gaussian_instance(rng, 15, 40, 3)
+        (y, z, x), trace, status = _multiplier_loop(
+            inst.A, inst.b, 1e-4, 1e-3, StoppingRule(max_iter=50),
+            solver=NanOnThirdSolve(inst.A))
+        assert status == DIVERGED
+        assert len(trace) == 2
+        (y2, z2, x2), trace2, status2 = _multiplier_loop(
+            inst.A, inst.b, 1e-4, 1e-3, StoppingRule(max_iter=2))
+        assert status2 == MAX_ITER
+        for got, want in ((y, y2), (z, z2), (x, x2)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(trace.column("r_primal"), trace2.column("r_primal"))
+
+    def test_admm_report_keeps_finite_end_state(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        inst = gaussian_instance(rng, 15, 40, 3)
+        monkeypatch.setattr(cs, "GramSolver", NanOnThirdSolve)
+        rep = admm_lasso(inst, lam=1e-4, rho=1e-3)
+        assert rep.status == DIVERGED
+        assert rep.iterations == len(rep.trace) == 2
+        for key in ("y", "z", "x"):
+            assert np.isfinite(rep.end_state[key]).all()
+        assert np.array_equal(rep.x_opt, rep.end_state["z"])
+
+    def test_reports_carry_the_driver_trace(self):
+        rng = np.random.default_rng(18)
+        inst = gaussian_instance(rng, 15, 40, 3)
+        rule = StoppingRule(max_iter=5000)
+        admm = admm_lasso(inst, rule=rule, lam=1e-4, rho=1e-3)
+        assert len(admm.trace) == admm.iterations
+        assert admm.trace.last.r_primal == admm.trace.column("zy_gap")[-1]
+        with pytest.raises(KeyError):
+            admm.trace.column("gamma")
+        dca = dca_l12(inst, inner_rule=rule, lam=1e-4, rho=1e-3)
+        # the trace is the last inner pass's, so it is shorter than the total
+        assert 0 < len(dca.trace) < dca.iterations
 
 
 class TestDcaL12:
@@ -283,4 +338,5 @@ class TestDysL12:
         # fixed step below the root: the merit value must keep decreasing
         assert np.all(np.diff(energies) <= 1e-9)
         without = dys_l12(inst, lam=1e-3, gamma=0.02, rule=StoppingRule(max_iter=5))
-        assert np.isnan(without.trace.column("energy")).all()
+        with pytest.raises(KeyError):
+            without.trace.column("energy")

@@ -169,27 +169,42 @@ class TestCsDriver:
             assert 0.0 <= agg["success_rate"] <= 1.0
 
 
+def ratings_config(tmp_path, max_iter=300):
+    rng = np.random.default_rng(0)
+    lines = []
+    for k in range(400):
+        u = int(rng.integers(1, 21))
+        i = int(rng.integers(1, 31))
+        r = int(rng.integers(1, 6))
+        lines.append(f"{u}::{i}::{r}::{k}")
+    path = tmp_path / "ratings.dat"
+    path.write_text("".join(line + "\n" for line in lines))
+    return ExperimentConfig(task="matcomp_ratings", methods=("svp", "dys"),
+                            trials=1, seed=0, ratings_path=str(path),
+                            ranks=(2,), test_fraction=0.2, max_iter=max_iter)
+
+
 class TestRatingsDriver:
     def test_ratings_pipeline(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = []
-        for k in range(400):
-            u = int(rng.integers(1, 21))
-            i = int(rng.integers(1, 31))
-            r = int(rng.integers(1, 6))
-            lines.append(f"{u}::{i}::{r}::{k}")
-        path = tmp_path / "ratings.dat"
-        path.write_text("".join(line + "\n" for line in lines))
-        cfg = ExperimentConfig(task="matcomp_ratings", methods=("svp", "dys"),
-                               trials=1, seed=0, ratings_path=str(path),
-                               ranks=(2,), test_fraction=0.2, max_iter=300)
-        table = run_experiment(cfg)
+        table = run_experiment(ratings_config(tmp_path))
         trials = table.select(record="trial")
         assert len(trials) == 2
         for row in trials:
             assert row["rmse"] > 0
             assert row["train_count"] > 0 and row["test_count"] > 0
         assert len(table.select(record="aggregate")) == 2
+
+
+def test_numeric_cells_parse_as_floats(matcomp_table, tmp_path):
+    # numpy float64 values used to be written as "np.float64(...)"
+    ratings_table = run_experiment(ratings_config(tmp_path, max_iter=20))
+    for table in (matcomp_table, ratings_table):
+        lines = csv_text(table).splitlines()
+        header = lines[1].split(",")
+        for line in lines[2:]:
+            for name, cell in zip(header, line.split(",")):
+                if cell and name not in ("record", "method", "status"):
+                    float(cell)
 
 
 class TestDiagnose:

@@ -4,9 +4,10 @@ import pytest
 from triosplit import linalg, matcomp, prox
 from triosplit.datagen import gen_low_rank, observe, sample_omega
 from triosplit.linalg import ObservationSet, masked_relative_residual
-from triosplit.matcomp import (CompletionInstance, drs_complete, dys_complete,
-                               relative_error, rmse, shrink_singular_values,
-                               svp_complete, svt_complete, svt_step)
+from triosplit.matcomp import (CompletionInstance, default_masked_rule,
+                               drs_complete, dys_complete, relative_error, rmse,
+                               shrink_singular_values, svp_complete, svt_complete,
+                               svt_step)
 from triosplit.prox import prox_masked_quadratic
 from triosplit.splitting import (CONVERGED, SplittingState, StoppingRule,
                                  dys_step)
@@ -139,6 +140,26 @@ class TestSvpComplete:
         assert res.status == CONVERGED
         assert res.relative_error < 1e-3
         assert res.iterations > res_dys.iterations
+
+
+class TestBaselineTraces:
+    def test_svp_records_its_step_schedule_and_metric(self):
+        inst, _ = make_instance(25, 2, 0.4, 0.0, seed=6)
+        res = svp_complete(inst, rule=default_masked_rule(max_iter=5))
+        t = np.arange(1, len(res.trace) + 1)
+        assert np.allclose(res.trace.column("gamma"), 1.0 / (inst.p * np.sqrt(t)))
+        assert res.trace.last.stop_metric == masked_relative_residual(res.X_opt, inst.obs)
+        for name in ("energy", "r_primal", "y_norm"):
+            with pytest.raises(KeyError):
+                res.trace.column(name)
+
+    def test_svt_records_step_and_metric_of_its_primal(self):
+        inst, _ = make_instance(25, 2, 0.4, 0.0, seed=6)
+        res = svt_complete(inst, rule=default_masked_rule(max_iter=5))
+        assert np.all(res.trace.column("gamma") == 1.2 / inst.p)
+        assert res.trace.last.stop_metric == masked_relative_residual(res.X_opt, inst.obs)
+        with pytest.raises(KeyError):
+            res.trace.column("s_dual")
 
 
 class TestSvtComplete:

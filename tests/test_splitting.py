@@ -1,3 +1,6 @@
+import io
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from triosplit.prox import soft_threshold
 from triosplit.splitting import (CONVERGED, DIVERGED, MAX_ITER,
                                  DiagnosticsUnavailable, OracleError, RunTrace,
                                  SplittingState, StepSizePolicy, StoppingRule,
-                                 ThreeTermProblem, TraceRecord, adapt_gamma,
+                                 ThreeTermProblem, _iterate, adapt_gamma,
                                  check_stop, dys_step, energy, lambda_threshold,
                                  max_step_size, run, stationarity_bound)
 
@@ -65,13 +68,14 @@ def make_record(**kv):
                     r_primal=0.0, s_dual=0.0, x_norm=0.0, y_norm=0.0, z_norm=0.0,
                     y_inf=0.0, x_change_ratio=0.0, stop_metric=float("nan"))
     defaults.update(kv)
-    return TraceRecord(**defaults)
+    return SimpleNamespace(**defaults)
 
 
-def trace_with(record):
+def via_trace(record):
+    """The record as the latest row of a one-row trace."""
     trace = RunTrace()
     trace.append(record)
-    return trace
+    return trace.last
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +232,27 @@ class TestAdaptGamma:
 
     def test_no_change_at_or_below_root(self):
         rec = make_record(dy_norm=1e9, y_inf=1e20, t=5)
-        assert adapt_gamma(self.policy, 0.1, trace_with(rec)) == 0.1
-        assert adapt_gamma(self.policy, 0.05, trace_with(rec)) == 0.05
+        assert adapt_gamma(self.policy, 0.1, via_trace(rec)) == 0.1
+        assert adapt_gamma(self.policy, 0.05, via_trace(rec)) == 0.05
 
     def test_halving_branch(self):
         rec = make_record(dy_norm=1e9, t=3)
-        assert adapt_gamma(self.policy, 0.8, trace_with(rec)) == pytest.approx(0.4)
+        assert adapt_gamma(self.policy, 0.8, via_trace(rec)) == pytest.approx(0.4)
 
     def test_floor_binds_near_root(self):
         rec = make_record(dy_norm=1e9, t=3)
-        out = adapt_gamma(self.policy, 0.15, trace_with(rec))
+        out = adapt_gamma(self.policy, 0.15, via_trace(rec))
         assert out == pytest.approx(0.9999 * 0.1)
 
     def test_speed_trigger_uses_iteration_count(self):
         slow = make_record(dy_norm=10.0, t=10)   # threshold 1000/10 = 100
         fast = make_record(dy_norm=150.0, t=10)
-        assert adapt_gamma(self.policy, 0.8, trace_with(slow)) == 0.8
-        assert adapt_gamma(self.policy, 0.8, trace_with(fast)) == pytest.approx(0.4)
+        assert adapt_gamma(self.policy, 0.8, via_trace(slow)) == 0.8
+        assert adapt_gamma(self.policy, 0.8, via_trace(fast)) == pytest.approx(0.4)
 
     def test_magnitude_trigger(self):
         rec = make_record(dy_norm=0.0, y_inf=1e11, t=2)
-        assert adapt_gamma(self.policy, 0.8, trace_with(rec)) == pytest.approx(0.4)
+        assert adapt_gamma(self.policy, 0.8, via_trace(rec)) == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -258,32 +262,32 @@ class TestCheckStop:
     def test_zero_residuals_pass(self):
         rule = StoppingRule(eps_abs=1e-7, eps_rel=1e-5)
         rec = make_record(r_primal=0.0, s_dual=0.0, y_norm=1.0, z_norm=1.0, x_norm=1.0)
-        assert check_stop(rule, trace_with(rec), dims=10)
+        assert check_stop(rule, via_trace(rec), dims=10)
 
     def test_threshold_is_inclusive(self):
         rule = StoppingRule(eps_abs=1e-3, eps_rel=1e-2)
         thr_r = np.sqrt(4) * 1e-3 + 1e-2 * 1.0
         rec = make_record(r_primal=thr_r, s_dual=0.0, y_norm=1.0, z_norm=1.0, x_norm=0.0)
-        assert check_stop(rule, trace_with(rec), dims=4)
+        assert check_stop(rule, via_trace(rec), dims=4)
         rec2 = make_record(r_primal=np.nextafter(thr_r, 1.0), s_dual=0.0,
                            y_norm=1.0, z_norm=1.0, x_norm=0.0)
-        assert not check_stop(rule, trace_with(rec2), dims=4)
+        assert not check_stop(rule, via_trace(rec2), dims=4)
 
     def test_both_residuals_required(self):
         rule = StoppingRule(eps_abs=1e-3, eps_rel=1e-2)
         rec = make_record(r_primal=0.0, s_dual=1.0, y_norm=1.0, z_norm=1.0, x_norm=1.0)
-        assert not check_stop(rule, trace_with(rec), dims=4)
+        assert not check_stop(rule, via_trace(rec), dims=4)
 
     def test_masked_mode_strict_inequality(self):
         rule = StoppingRule(eps_rel=1e-4, mode="masked_relative")
-        assert check_stop(rule, trace_with(make_record(stop_metric=9.9e-5)), dims=4)
-        assert not check_stop(rule, trace_with(make_record(stop_metric=1e-4)), dims=4)
-        assert not check_stop(rule, trace_with(make_record(stop_metric=float("nan"))), dims=4)
+        assert check_stop(rule, via_trace(make_record(stop_metric=9.9e-5)), dims=4)
+        assert not check_stop(rule, via_trace(make_record(stop_metric=1e-4)), dims=4)
+        assert not check_stop(rule, via_trace(make_record(stop_metric=float("nan"))), dims=4)
 
     def test_iterate_change_mode(self):
         rule = StoppingRule(eps_rel=1e-2, mode="iterate_change")
-        assert check_stop(rule, trace_with(make_record(x_change_ratio=9e-3)), dims=4)
-        assert not check_stop(rule, trace_with(make_record(x_change_ratio=1.1e-2)), dims=4)
+        assert check_stop(rule, via_trace(make_record(x_change_ratio=9e-3)), dims=4)
+        assert not check_stop(rule, via_trace(make_record(x_change_ratio=1.1e-2)), dims=4)
 
     def test_max_iter_gives_max_iter_status_not_success(self):
         rng = np.random.default_rng(7)
@@ -536,3 +540,91 @@ def test_trace_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == 0.1
+
+
+class TestRunTrace:
+    def test_columns_grow_past_initial_capacity(self):
+        trace = RunTrace()
+        for t in range(1, 41):
+            trace.append(SimpleNamespace(t=t, dy_norm=0.5 * t))
+        assert len(trace) == 40
+        assert np.array_equal(trace.column("iter"), np.arange(1, 41))
+        assert np.array_equal(trace.column("dy_norm"), 0.5 * np.arange(1, 41))
+        assert trace.last.dy_norm == 20.0
+
+    def test_only_recorded_columns_exist(self):
+        trace = RunTrace()
+        trace.append(SimpleNamespace(t=1, dy_norm=1.0))
+        with pytest.raises(KeyError):
+            trace.column("energy")
+        with pytest.raises(AttributeError, match="energy"):
+            trace.last.energy
+        with pytest.raises(ValueError, match="columns"):
+            trace.append(SimpleNamespace(t=2, dy_norm=1.0, energy=0.0))
+        with pytest.raises(ValueError, match="columns"):
+            trace.append(SimpleNamespace(dy_norm=1.0, t=2))  # same names, other order
+        assert len(trace) == 1
+
+    def test_empty_trace(self):
+        trace = RunTrace()
+        assert len(trace.column("y_norm")) == 0
+        with pytest.raises(IndexError):
+            trace.last
+
+    def test_energy_column_only_on_request(self):
+        rng = np.random.default_rng(18)
+        problem = make_composite_problem(rng, 4)
+        res = run(problem, rng.standard_normal(4), gamma=0.1,
+                  rule=StoppingRule(max_iter=5), record_energy=False)
+        with pytest.raises(KeyError):
+            res.trace.column("energy")
+        with pytest.raises(KeyError):
+            res.trace.column("stop_metric")
+
+    def test_csv_writes_nan_for_unrecorded_columns(self):
+        inst = SensingInstance(np.eye(3), np.array([1.0, 0.5, 0.0]))
+        rep = admm_lasso(inst, lam=0.1, rho=1.0, rule=StoppingRule(max_iter=3))
+        buf = io.StringIO()
+        rep.trace.to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 1 + len(rep.trace)
+        cells = lines[1].split(",")
+        assert cells[:3] == ["1", "nan", "nan"]  # iter, gamma, energy
+        assert float(cells[6]) == rep.trace.column("s_dual")[0]
+
+
+class TestIterate:
+    @staticmethod
+    def doubling(blowup_at, value=np.inf):
+        def advance(state, t):
+            (v,) = state
+            return (v * value,) if t == blowup_at else (2.0 * v,)
+        return advance
+
+    @staticmethod
+    def measure(old, new, t):
+        return SimpleNamespace(t=t, x_change_ratio=1.0 / t, y_inf=float(np.max(new[0])))
+
+    def test_nonfinite_step_keeps_last_finite_state(self):
+        state, trace, status = _iterate(self.doubling(3), self.measure, (np.ones(2),),
+                                        StoppingRule(max_iter=10, mode="iterate_change"))
+        assert status == DIVERGED
+        assert len(trace) == 2
+        assert np.array_equal(state[0], np.full(2, 4.0))
+
+    def test_recorded_blowup_keeps_that_state(self):
+        state, trace, status = _iterate(self.doubling(3, 1e31), self.measure, (np.ones(2),),
+                                        StoppingRule(max_iter=10, mode="iterate_change"))
+        assert status == DIVERGED
+        assert len(trace) == 3
+        assert trace.last.y_inf == 4e31
+
+    def test_stop_test_reads_the_new_row(self):
+        rule = StoppingRule(eps_rel=0.2, max_iter=10, mode="iterate_change")
+        _, trace, status = _iterate(self.doubling(None), self.measure, (np.ones(2),), rule)
+        assert status == CONVERGED
+        assert len(trace) == 6  # 1/6 < 0.2 <= 1/5
+        _, trace, status = _iterate(self.doubling(None), self.measure, (np.ones(2),),
+                                    StoppingRule(eps_rel=0.01, max_iter=4, mode="iterate_change"))
+        assert status == MAX_ITER
+        assert np.array_equal(trace.column("iter"), [1, 2, 3, 4])
