@@ -371,7 +371,7 @@ def _run_matcomp_ratings(config):
 
 def _cs_rule(config, max_iter_default):
     max_iter = config.max_iter if config.max_iter is not None else max_iter_default
-    return StoppingRule(eps_abs=1e-7, eps_rel=1e-5, max_iter=max_iter)
+    return StoppingRule(max_iter=max_iter)
 
 
 def _run_cs_method(method, inst, config):

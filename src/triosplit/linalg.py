@@ -80,10 +80,6 @@ class ObservationSet:
     def __len__(self):
         return len(self.values)
 
-    def extract(self, X):
-        """Entries of X at the observed positions, in storage order."""
-        return X[self.rows, self.cols]
-
     def scatter(self, values=None):
         """Dense matrix holding ``values`` (default: the stored ones) at the
         observed positions and zeros elsewhere."""
@@ -243,19 +239,21 @@ def masked_relative_residual(X, obs):
     return num / den
 
 
-def gram_spectral_norm(A, tol=1e-12, max_iter=10000):
-    """Largest eigenvalue of A^T A by power iteration from a fixed start."""
+def gram_spectral_norm(A):
+    """Largest eigenvalue of A^T A by power iteration from a fixed start,
+    stopped when successive estimates agree to 1e-12 relative or after
+    10000 products."""
     A = as_matrix(A)
     n = A.shape[1]
     v = np.ones(n) / np.sqrt(n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(10000):
         w = A.T @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
-        if abs(nw - lam) <= tol * nw:
+        if abs(nw - lam) <= 1e-12 * nw:
             return nw
         lam = nw
     return lam

@@ -71,8 +71,7 @@ class CompletionResult:
 
 
 def default_masked_rule(max_iter=2000):
-    return StoppingRule(eps_abs=1e-7, eps_rel=MASKED_TOL, max_iter=max_iter,
-                        mode="masked_relative")
+    return StoppingRule(eps_rel=MASKED_TOL, max_iter=max_iter)
 
 
 def relative_error(X, M):

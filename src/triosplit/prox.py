@@ -16,7 +16,7 @@ def soft_threshold(v, kappa):
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def rank_projection(Y, r, tol=1e-10, seed=0, warm=None):
+def rank_projection(Y, r, warm=None):
     """Nearest matrix of rank at most r: top-r SVD reconstruction.
 
     Without ``warm`` this is a cold one-shot call: the SVD starts from a
@@ -26,7 +26,7 @@ def rank_projection(Y, r, tol=1e-10, seed=0, warm=None):
     """
     if warm is None:
         warm = SvdWarmStart()
-    t = truncated_svd(Y, r, tol=tol, seed=seed, start=warm.basis)
+    t = truncated_svd(Y, r, start=warm.basis)
     warm.basis = t.basis
     return t.reconstruct()
 
@@ -48,7 +48,7 @@ def prox_masked_quadratic(X, obs, gamma):
 
 
 class GramSolver:
-    """Cached solver for (A^T A + mu * I) v = rhs over many values of mu.
+    """Cached solver for (A^T A + mu * I) v = rhs at one step size at a time.
 
     Wide systems (m < n) go through the m x m matrix G = A A^T + mu * I and
     the matrix-inversion lemma. For each mu, G is factored once as L L^T and
@@ -61,11 +61,12 @@ class GramSolver:
     was at most 1.5e-10 at mu = 1e-5, 1.3e-11 at 1e-4 and 1e-12 at 1e-3,
     and the relative normal-equation residual about 1e-9 at mu = 1e-5.
 
-    Factors are cached per mu; W is kept for the most recent mu only and is
-    rebuilt from the cached factor when mu changes back. A wide solver that
-    has seen d values of mu holds d * m^2 + m * n floats beyond A and A A^T
-    (d * n^2 on the tall path). A solver instance is intended to be private
-    to a single run; concurrent runs should each own one.
+    Only the latest mu is kept: a solve at another mu replaces its factor
+    (and W), so a wide solver holds m^2 + m * n floats beyond A and A A^T
+    (n^2 on the tall path). The solvers never return to an earlier mu:
+    dys_l12 only lowers gamma, and the multiplier methods keep one rho. A
+    solver instance is intended to be private to a single run; concurrent
+    runs should each own one.
     """
 
     def __init__(self, A):
@@ -73,36 +74,28 @@ class GramSolver:
         m, n = self.A.shape
         self.wide = m < n
         self.gram = self.A @ self.A.T if self.wide else self.A.T @ self.A
-        self._factors = {}
-        self._whitened_mu = None
-        self._whitened = None
+        self._cache = (None, None, None)  # (mu, Cholesky factor, whitened operator)
 
-    def _factor(self, mu):
-        fac = self._factors.get(mu)
-        if fac is None:
-            G = self.gram + mu * np.eye(self.gram.shape[0])
-            fac = cho_factor(G)
-            self._factors[mu] = fac
-        return fac
+    def _prepare(self, mu):
+        if self._cache[0] != mu:
+            self._cache = (None, None, None)  # release the old arrays before building new ones
+            fac = cho_factor(self.gram + mu * np.eye(self.gram.shape[0]))
+            self._cache = (mu, fac, self._whiten(fac, mu) if self.wide else None)
+        return self._cache
 
-    def _whiten(self, mu):
-        if self._whitened_mu != mu:
-            self._whitened = None  # release the old operator before building the new one
-            c, lower = self._factor(mu)
-            trans = 0 if lower else 1
-            # Q = L^-1 [A, sqrt(mu) I] = [W, sqrt(mu) L^-1] has orthonormal rows
-            # in exact arithmetic. The triangular solves lose orthogonality in
-            # proportion to cond(G); a second Cholesky pass on Q Q^T, which is
-            # near the identity, restores it (Cholesky QR2), and with it the
-            # forward error of a QR-based solve.
-            W = solve_triangular(c, self.A, trans=trans, lower=lower, check_finite=False)
-            Li = solve_triangular(c, np.eye(c.shape[0]), trans=trans, lower=lower,
-                                  check_finite=False)
-            L2 = np.linalg.cholesky(W @ W.T + mu * (Li @ Li.T))
-            self._whitened = solve_triangular(L2, W, lower=True, overwrite_b=True,
-                                              check_finite=False)
-            self._whitened_mu = mu
-        return self._whitened
+    def _whiten(self, fac, mu):
+        c, lower = fac
+        trans = 0 if lower else 1
+        # Q = L^-1 [A, sqrt(mu) I] = [W, sqrt(mu) L^-1] has orthonormal rows
+        # in exact arithmetic. The triangular solves lose orthogonality in
+        # proportion to cond(G); a second Cholesky pass on Q Q^T, which is
+        # near the identity, restores it (Cholesky QR2), and with it the
+        # forward error of a QR-based solve.
+        W = solve_triangular(c, self.A, trans=trans, lower=lower, check_finite=False)
+        Li = solve_triangular(c, np.eye(c.shape[0]), trans=trans, lower=lower,
+                              check_finite=False)
+        L2 = np.linalg.cholesky(W @ W.T + mu * (Li @ Li.T))
+        return solve_triangular(L2, W, lower=True, overwrite_b=True, check_finite=False)
 
     def apply(self, mu, v):
         return self.A.T @ (self.A @ v) + mu * v
@@ -110,10 +103,10 @@ class GramSolver:
     def solve(self, mu, rhs):
         if mu <= 0:
             raise ValueError("mu must be positive")
+        _, fac, W = self._prepare(mu)
         if self.wide:
-            W = self._whiten(mu)
             return (rhs - W.T @ (W @ rhs)) / mu
-        return cho_solve(self._factor(mu), rhs, check_finite=False)
+        return cho_solve(fac, rhs, check_finite=False)
 
 
 def prox_least_squares(A, b, x, gamma, solver=None):

@@ -29,8 +29,6 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
 
-STOP_MODES = ("residual_pair", "masked_relative", "iterate_change")
-
 
 class DiagnosticsUnavailable(RuntimeError):
     """Energy diagnostics were requested but value oracles are missing."""
@@ -125,27 +123,22 @@ class StepSizePolicy:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Termination test selection.
+    """Tolerances and iteration cap of the stop test.
 
-    residual_pair: ||r|| <= sqrt(n)*eps_abs + eps_rel*max(||y||, ||z||) and
-                   ||s|| <= sqrt(n)*eps_abs + eps_rel*||x||  (both inclusive)
-    masked_relative: the run's stop metric (a relative masked residual
-                   supplied by the caller) drops below eps_rel
-    iterate_change: ||x+ - x|| / max(||x||, 1) drops below eps_rel
+    The test itself follows from what the solver measures (see check_stop):
+    eps_abs and eps_rel bound the residual pair, and eps_rel alone bounds a
+    recorded stop metric.
     """
 
     eps_abs: float = 1e-7
     eps_rel: float = 1e-5
     max_iter: int = 50000
-    mode: str = "residual_pair"
 
     def __post_init__(self):
         if self.eps_abs <= 0 or self.eps_rel <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.mode not in STOP_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {STOP_MODES}")
 
 
 class RunTrace:
@@ -241,13 +234,14 @@ def lambda_threshold(gamma, L, l, beta):
     )
 
 
-def max_step_size(L, l, beta, value_tol=1e-10, gamma_min=1e-12, gamma_max=1e3):
+def max_step_size(L, l, beta):
     """Smallest positive root of the descent coefficient, by bisection.
 
     The coefficient blows up to +inf as gamma -> 0, so a geometric scan from
-    gamma_min locates the first sign change and bisection polishes it until
-    the coefficient is within value_tol of zero.
+    1e-12 up to 1e3 locates the first sign change and bisection polishes it
+    until the coefficient is within 1e-10 of zero.
     """
+    gamma_min, gamma_max, value_tol = 1e-12, 1e3, 1e-10
     lo = gamma_min
     if lambda_threshold(lo, L, l, beta) <= 0:
         raise RuntimeError("descent coefficient not positive at the scan origin")
@@ -310,16 +304,21 @@ def adapt_gamma(policy, gamma, row):
 
 
 def check_stop(rule, row, dims):
-    """Whether a trace row satisfies the rule's inequalities."""
-    if rule.mode == "residual_pair":
-        base = math.sqrt(dims) * rule.eps_abs
-        ok_r = row.r_primal <= base + rule.eps_rel * max(row.y_norm, row.z_norm)
-        ok_s = row.s_dual <= base + rule.eps_rel * row.x_norm
-        return ok_r and ok_s
-    if rule.mode == "masked_relative":
-        return row.stop_metric < rule.eps_rel
-    # iterate_change
-    return row.x_change_ratio < rule.eps_rel
+    """Whether a trace row satisfies the rule's inequalities.
+
+    A row that records a stop_metric (a relative masked residual) passes
+    when stop_metric < eps_rel. Any other row is held to the residual pair,
+    both inclusive:
+        r_primal <= sqrt(dims)*eps_abs + eps_rel*max(y_norm, z_norm)
+        s_dual   <= sqrt(dims)*eps_abs + eps_rel*x_norm
+    """
+    metric = getattr(row, "stop_metric", None)
+    if metric is not None:
+        return metric < rule.eps_rel
+    base = math.sqrt(dims) * rule.eps_abs
+    ok_r = row.r_primal <= base + rule.eps_rel * max(row.y_norm, row.z_norm)
+    ok_s = row.s_dual <= base + rule.eps_rel * row.x_norm
+    return ok_r and ok_s
 
 
 def stationarity_bound(state, gamma, L, beta):
@@ -330,8 +329,7 @@ def stationarity_bound(state, gamma, L, beta):
     return (L + beta + 1.0 / gamma) * np.linalg.norm(state.z - state.y)
 
 
-def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
-        record_energy="auto"):
+def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
     """Drive the splitting iteration until a stopping rule fires.
 
     Parameters
@@ -341,10 +339,12 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
     gamma : float, fixed step size; defaults to 0.99 * gamma0 when neither
         gamma nor policy is given
     policy : StepSizePolicy, adaptive step sizes (mutually exclusive with gamma)
-    rule : StoppingRule, defaults to the residual pair test
-    stop_metric : callable state -> float, recorded each iteration and
-        required by the masked_relative mode
-    record_energy : True, False or "auto" (record when value oracles exist)
+    rule : StoppingRule, defaults to StoppingRule()
+    stop_metric : callable state -> float, recorded each iteration; when
+        given, the run stops on it instead of the residual pair (see
+        check_stop)
+
+    The trace records the energy exactly when the problem has value oracles.
 
     Returns
     -------
@@ -356,10 +356,7 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
         raise ValueError("pass either gamma or policy, not both")
     if rule is None:
         rule = StoppingRule()
-    if rule.mode == "masked_relative" and stop_metric is None:
-        raise ValueError("masked_relative mode needs a stop_metric callable")
-    if record_energy == "auto":
-        record_energy = problem.has_values
+    record_energy = problem.has_values
 
     if policy is not None:
         cur_gamma = policy.initial_gamma()
@@ -369,7 +366,6 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
         cur_gamma = 0.99 * max_step_size(problem.L, problem.l, problem.beta)
 
     start = SplittingState.initial(x0)
-    x_norm = float(np.linalg.norm(start.x))
 
     def advance(state, t):
         try:
@@ -378,15 +374,13 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None,
             raise OracleError(f"oracle failure at iteration {t} (gamma={cur_gamma!r})") from exc
 
     def measure(old, new, t):
-        nonlocal cur_gamma, x_norm
+        nonlocal cur_gamma
         zy = float(np.linalg.norm(new.z - new.y))
-        prev_x_norm, x_norm = x_norm, float(np.linalg.norm(new.x))
         row = SimpleNamespace(t=t, gamma=cur_gamma, dy_norm=float(np.linalg.norm(new.y - old.y)),
                               zy_gap=zy, r_primal=zy, s_dual=float(np.linalg.norm(new.z - old.z)),
-                              x_norm=x_norm, y_norm=float(np.linalg.norm(new.y)),
+                              x_norm=float(np.linalg.norm(new.x)), y_norm=float(np.linalg.norm(new.y)),
                               z_norm=float(np.linalg.norm(new.z)),
-                              y_inf=float(np.max(np.abs(new.y))) if new.y.size else 0.0,
-                              x_change_ratio=zy / max(prev_x_norm, 1.0))
+                              y_inf=float(np.max(np.abs(new.y))) if new.y.size else 0.0)
         if record_energy:
             row.energy = float(energy(problem, new, cur_gamma))
         if stop_metric is not None:

@@ -49,8 +49,7 @@ class TestDysComplete:
         M, _ = gen_low_rank(n, r, rng)
         ridx, cidx = sample_omega(n, n, n * n, rng)
         inst = CompletionInstance(observe(M, ridx, cidx), (n, n), r, 0.0)
-        rule = StoppingRule(eps_abs=1e-12, eps_rel=1e-7, max_iter=50,
-                            mode="masked_relative")
+        rule = StoppingRule(eps_abs=1e-12, eps_rel=1e-7, max_iter=50)
         res = dys_complete(inst, rule=rule, M_true=M)
         assert res.status == CONVERGED
         assert res.iterations <= 50
@@ -100,8 +99,7 @@ class TestDrsComplete:
         M, _ = gen_low_rank(n, r, rng)
         ridx, cidx = sample_omega(n, n, n * n, rng)
         inst = CompletionInstance(observe(M, ridx, cidx), (n, n), r, 0.0)
-        rule = StoppingRule(eps_abs=1e-12, eps_rel=1e-7, max_iter=80,
-                            mode="masked_relative")
+        rule = StoppingRule(eps_abs=1e-12, eps_rel=1e-7, max_iter=80)
         res = drs_complete(inst, rule=rule, M_true=M)
         assert res.status == CONVERGED
         assert res.relative_error < 1e-6

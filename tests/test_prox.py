@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import triosplit.prox as prox_mod
 from triosplit.datagen import DctSpec, gen_dct_matrix
 from triosplit.linalg import ObservationSet
 from triosplit.prox import (GramSolver, grad_frobenius_reg, grad_neg_l2,
@@ -159,17 +160,23 @@ class TestProxLeastSquares:
         rel = np.linalg.norm(solver.apply(mu, y) - rhs) / np.linalg.norm(rhs)
         assert rel < 1e-10
 
-    def test_factor_cache_reused(self):
+    def test_factor_cache_reused(self, monkeypatch):
+        factored, factor = [], prox_mod.cho_factor
+        monkeypatch.setattr(prox_mod, "cho_factor", lambda G: factored.append(G) or factor(G))
         rng = np.random.default_rng(13)
-        A = rng.standard_normal((9, 14))
-        solver = GramSolver(A)
-        r1 = solver.solve(0.5, rng.standard_normal(14))
-        assert set(solver._factors) == {0.5}
-        solver.solve(0.25, rng.standard_normal(14))
-        assert set(solver._factors) == {0.5, 0.25}
-        r1b = solver.solve(0.5, np.zeros(14))
-        assert np.array_equal(r1b, np.zeros(14))
-        assert np.isfinite(r1).all()
+        for shape in ((9, 14), (14, 9)):  # wide and tall
+            factored.clear()
+            solver = GramSolver(rng.standard_normal(shape))
+            n = shape[1]
+            r1 = solver.solve(0.5, rng.standard_normal(n))
+            r2 = solver.solve(0.5, rng.standard_normal(n))
+            assert len(factored) == 1  # the second solve at 0.5 reuses the factor
+            assert solver._cache[0] == 0.5
+            solver.solve(0.25, rng.standard_normal(n))
+            assert len(factored) == 2 and solver._cache[0] == 0.25
+            assert np.array_equal(solver.solve(0.5, np.zeros(n)), np.zeros(n))
+            assert len(factored) == 3  # only the latest step size is held
+            assert np.isfinite(r1).all() and np.isfinite(r2).all()
 
 
 class TestGramSolverAccuracy:
@@ -198,10 +205,10 @@ class TestGramSolverAccuracy:
         for mu in (1e-3, 1e-4, 1e-3):
             rhs = rng.standard_normal(300)
             assert np.array_equal(solver.solve(mu, rhs), GramSolver(A).solve(mu, rhs))
-        # one factor per step size, one m x n operator in all
-        assert set(solver._factors) == {1e-3, 1e-4}
-        assert all(c.shape == (40, 40) for c, _ in solver._factors.values())
-        assert solver._whitened_mu == 1e-3
+        # one m x m factor and one m x n operator, both for the latest step size
+        mu, (c, _), W = solver._cache
+        assert mu == 1e-3
+        assert c.shape == (40, 40) and W.shape == (40, 300)
 
 
 class TestGradients:
