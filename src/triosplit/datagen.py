@@ -100,13 +100,13 @@ def mutual_coherence(A):
     return float(C.max())
 
 
-def gen_sparse_signal(n, s, min_sep, seed, max_restarts=1000):
+def gen_sparse_signal(n, s, min_sep, seed):
     """Sparse vector with s Gaussian spikes whose indices are pairwise at
     least min_sep apart.
 
     Support indices are drawn greedily with rejection and a full restart
-    when placement stalls; requires s * min_sep <= n so that separated
-    supports exist with room to spare.
+    when placement stalls, at most 1000 times; requires
+    s * min_sep <= n so that separated supports exist with room to spare.
     """
     if s < 1 or min_sep < 1:
         raise ValueError("s and min_sep must be positive")
@@ -114,7 +114,7 @@ def gen_sparse_signal(n, s, min_sep, seed, max_restarts=1000):
         raise ValueError(f"cannot place {s} spikes {min_sep} apart in length {n}")
     rng = np.random.default_rng(seed)
     budget = max(50 * s, 100)
-    for _ in range(max_restarts):
+    for _ in range(1000):
         chosen = []
         for _ in range(budget):
             cand = int(rng.integers(n))

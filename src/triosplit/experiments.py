@@ -3,7 +3,8 @@
 A run is deterministic in the base seed: trial t derives its stream from
 (seed + t) plus the grid cell indices, instances are generated once per
 trial and shared by every method, and rows are emitted in a fixed order
-(trials first, then per-method aggregates), so rewriting the same
+(trials first, then per-method aggregates computed from the trial rows
+alone, so no solver result but the latest is kept), so rewriting the same
 experiment yields byte-identical output.
 """
 
@@ -29,6 +30,7 @@ TASKS = ("matcomp_synth", "matcomp_ratings", "cs_recovery", "cs_noise", "diagnos
 MATCOMP_METHODS = ("dys", "drs", "svp", "svt")
 CS_METHODS = ("dys", "dca", "admm")
 _CS_ALIASES = {"dys_l12": "dys", "dca_l12": "dca", "admm_lasso": "admm"}
+RATINGS_K = 100.0  # start step multiplier of dys and drs on ratings runs
 
 
 class ConfigError(ValueError):
@@ -73,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if not all(sigma >= 0 for sigma in self.sigmas):  # and not NaN, which select never matches
+            raise ConfigError(f"noise levels {self.sigmas} must be nonnegative")
         object.__setattr__(self, "methods", _normalize_methods(self.task, self.methods))
         if self.task == "matcomp_ratings" and not self.ratings_path:
             raise ConfigError("matcomp_ratings needs a ratings file path")
@@ -160,8 +164,6 @@ def _coerce(key, value):
         return _as_tuple(value, int)
     if key in _TUPLE_FLOAT_FIELDS:
         return _as_tuple(value, float)
-    if key == "methods" and isinstance(value, str):
-        return tuple(s.strip() for s in value.split(",") if s.strip())
     if isinstance(value, str):
         hints = {"trials": int, "seed": int, "n": int, "r": int, "m": int,
                  "refinement": int, "min_sep": int, "max_iter": int,
@@ -287,14 +289,34 @@ def run_experiment(config):
     return driver(config)
 
 
-def _matcomp_rule(config):
-    max_iter = config.max_iter if config.max_iter is not None else 2000
-    return default_masked_rule(max_iter=max_iter)
+def _converged(row):
+    return row["status"] == CONVERGED
+
+
+def _add_aggregate(table, shared, cell, succeeded=_converged, error="rel_error",
+                   error_std="err_std", pool_successes=False, spread=()):
+    """Append one grid cell's aggregate row, computed from its trial rows.
+
+    The trial rows are those matching cell; the aggregate copies the
+    columns of shared and cell and adds the mean and std of the error
+    column (over the trials that succeeded when pool_successes, else over
+    all), the mean and std of each column in spread, the mean iteration
+    count and the share of trials that succeeded.
+    """
+    rows = table.select(record="trial", **cell)
+    wins = [bool(succeeded(row)) for row in rows]
+    pool = [row for row, win in zip(rows, wins) if win] if pool_successes else rows
+    stats = {}
+    stats[error], stats[error_std] = _mean_std([row[error] for row in pool])
+    for column in spread:
+        stats[column], stats[column + "_std"] = _mean_std([row[column] for row in rows])
+    stats["iterations"], _ = _mean_std([row["iterations"] for row in rows])
+    table.add(record="aggregate", success_rate=float(np.mean(wins)), **shared, **cell, **stats)
 
 
 def _run_matcomp_completion(method, inst, M_true, config, k_default):
     k = config.k_init if config.k_init is not None else k_default
-    rule = _matcomp_rule(config)
+    rule = None if config.max_iter is None else default_masked_rule(max_iter=config.max_iter)
     if method == "dys":
         return mc_mod.dys_complete(inst, rule=rule, beta=config.beta, k=k, M_true=M_true)
     if method == "drs":
@@ -311,7 +333,7 @@ def _run_matcomp_synth(config):
     lam = config.lam if config.lam is not None else mc_mod.DEFAULT_LAMBDA
     n, r, p = config.n, config.r, config.p
     m_count = int(round(p * n * n))
-    per_method = {m: [] for m in config.methods}
+    shared = {"n": n, "r": r, "p": p, "lambda": lam}
     for trial in range(config.trials):
         seed = config.seed + trial
         rng = np.random.default_rng(seed)
@@ -319,19 +341,11 @@ def _run_matcomp_synth(config):
         ridx, cidx = sample_omega(n, n, m_count, rng)
         inst = CompletionInstance(observe(M, ridx, cidx), (n, n), r, lam)
         for method in config.methods:
-            res = _run_matcomp_completion(method, inst, M, config, k_default=1e6)
-            per_method[method].append(res)
-            table.add(record="trial", method=method, seed=seed, n=n, r=r, p=p,
-                      iterations=res.iterations, rel_error=res.relative_error,
-                      status=res.status, **{"lambda": lam})
+            res = _run_matcomp_completion(method, inst, M, config, mc_mod.DEFAULT_K)
+            table.add(record="trial", method=method, seed=seed, iterations=res.iterations,
+                      rel_error=res.relative_error, status=res.status, **shared)
     for method in config.methods:
-        results = per_method[method]
-        err_mean, err_std = _mean_std([res.relative_error for res in results])
-        iters_mean, _ = _mean_std([res.iterations for res in results])
-        rate = float(np.mean([res.status == CONVERGED for res in results]))
-        table.add(record="aggregate", method=method, n=n, r=r, p=p,
-                  iterations=iters_mean, rel_error=err_mean, err_std=err_std,
-                  success_rate=rate, **{"lambda": lam})
+        _add_aggregate(table, shared, dict(method=method))
     return table
 
 
@@ -340,48 +354,37 @@ def _run_matcomp_ratings(config):
     lam = config.lam if config.lam is not None else 1e-3
     dataset = load_ratings(config.ratings_path)
     shape = (dataset.n_users, dataset.n_items)
-    per_cell = {}
+    shared = {"users": shape[0], "items": shape[1], "lambda": lam}
     for trial in range(config.trials):
         seed = config.seed + trial
         train, test = split_observations(dataset, seed, config.test_fraction)
         for rank in config.ranks:
             inst = CompletionInstance(train, shape, rank, lam)
             for method in config.methods:
-                res = _run_matcomp_completion(method, inst, None, config, k_default=100.0)
+                res = _run_matcomp_completion(method, inst, None, config, RATINGS_K)
                 score = rmse(res.X_opt, test) if len(test) else float("nan")
                 resid = (masked_relative_residual(res.X_opt, test)
                          if len(test) and np.linalg.norm(test.values) > 0 else float("nan"))
-                per_cell.setdefault((method, rank), []).append((score, res))
                 table.add(record="trial", method=method, seed=seed, rank=rank,
-                          users=shape[0], items=shape[1], train_count=len(train),
-                          test_count=len(test), iterations=res.iterations,
-                          rmse=score, test_residual=resid, status=res.status,
-                          **{"lambda": lam})
+                          train_count=len(train), test_count=len(test),
+                          iterations=res.iterations, rmse=score, test_residual=resid,
+                          status=res.status, **shared)
     for rank in config.ranks:
         for method in config.methods:
-            cell = per_cell.get((method, rank), [])
-            rmse_mean, rmse_std = _mean_std([s for s, _ in cell])
-            iters_mean, _ = _mean_std([res.iterations for _, res in cell])
-            rate = float(np.mean([res.status == CONVERGED for _, res in cell]))
-            table.add(record="aggregate", method=method, rank=rank, users=shape[0],
-                      items=shape[1], iterations=iters_mean, rmse=rmse_mean,
-                      rmse_std=rmse_std, success_rate=rate, **{"lambda": lam})
+            _add_aggregate(table, shared, dict(method=method, rank=rank),
+                           error="rmse", error_std="rmse_std")
     return table
 
 
-def _cs_rule(config, max_iter_default):
-    max_iter = config.max_iter if config.max_iter is not None else max_iter_default
-    return StoppingRule(max_iter=max_iter)
-
-
 def _run_cs_method(method, inst, config):
+    rule = None if config.max_iter is None else StoppingRule(max_iter=config.max_iter)
     if method == "admm":
-        return cs_mod.admm_lasso(inst, rule=_cs_rule(config, 50000), lam=config.lam)
+        return cs_mod.admm_lasso(inst, rule=rule, lam=config.lam)
     if method == "dca":
-        return cs_mod.dca_l12(inst, inner_rule=_cs_rule(config, 5000), lam=config.lam)
+        return cs_mod.dca_l12(inst, inner_rule=rule, lam=config.lam)
     if method == "dys":
         k = config.k_init if config.k_init is not None else cs_mod.DEFAULT_K
-        return cs_mod.dys_l12(inst, rule=_cs_rule(config, 50000), lam=config.lam, k=k)
+        return cs_mod.dys_l12(inst, rule=rule, lam=config.lam, k=k)
     raise ConfigError(f"unknown sensing method {method!r}")
 
 
@@ -390,7 +393,7 @@ def _run_cs(config):
     table = ResultTable(schema, CS_COLUMNS)
     m, n, F = config.m, config.n, config.refinement
     sep = config.min_sep if config.min_sep is not None else 2 * F
-    per_cell = {}
+    shared = {"m": m, "n": n, "F": F}
     for s_idx, s in enumerate(config.sparsity_levels):
         for g_idx, sigma in enumerate(config.sigmas):
             for trial in range(config.trials):
@@ -404,25 +407,17 @@ def _run_cs(config):
                 inst = cs_mod.SensingInstance(A, b, x_true=x_true)
                 for method in config.methods:
                     rep = _run_cs_method(method, inst, config)
-                    per_cell.setdefault((method, s, sigma), []).append(rep)
-                    table.add(record="trial", method=method, seed=seed, m=m, n=n, s=s,
-                              F=F, sigma=sigma, success=rep.success,
-                              rel_error=rep.relative_error, sparsity=rep.sparsity,
-                              iterations=rep.iterations, status=rep.status)
-    over_successes = config.task == "cs_recovery"
+                    table.add(record="trial", method=method, seed=seed, s=s, sigma=sigma,
+                              success=rep.success, rel_error=rep.relative_error,
+                              sparsity=rep.sparsity, iterations=rep.iterations,
+                              status=rep.status, **shared)
     for s in config.sparsity_levels:
         for sigma in config.sigmas:
             for method in config.methods:
-                reps = per_cell.get((method, s, sigma), [])
-                pool = [r for r in reps if r.success] if over_successes else reps
-                err_mean, err_std = _mean_std([r.relative_error for r in pool])
-                sp_mean, sp_std = _mean_std([r.sparsity for r in reps])
-                iters_mean, _ = _mean_std([r.iterations for r in reps])
-                rate = float(np.mean([bool(r.success) for r in reps]))
-                table.add(record="aggregate", method=method, m=m, n=n, s=s, F=F,
-                          sigma=sigma, rel_error=err_mean, err_std=err_std,
-                          sparsity=sp_mean, sparsity_std=sp_std,
-                          iterations=iters_mean, success_rate=rate)
+                _add_aggregate(table, shared, dict(method=method, s=s, sigma=sigma),
+                               succeeded=lambda row: row["success"],
+                               pool_successes=config.task == "cs_recovery",
+                               spread=("sparsity",))
     return table
 
 

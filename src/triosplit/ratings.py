@@ -28,16 +28,16 @@ class RatingsDataset:
     duplicates: int
 
 
-def load_ratings(path, rating_range=(1.0, 5.0)):
+def load_ratings(path):
     """Parse a ratings file into a RatingsDataset.
 
     IDs are remapped to contiguous indices by sorted original ID. Repeated
     (user, item) pairs keep the last occurrence; the overwrite count is
-    logged and reported on the dataset. Malformed lines and out-of-range
-    ratings fail with the offending line number.
+    logged and reported on the dataset. Malformed lines and ratings outside
+    [1, 5] fail with the offending line number.
     """
     users, items, ratings, stamps = [], [], [], []
-    lo, hi = rating_range
+    lo, hi = 1.0, 5.0
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -105,7 +105,7 @@ def split_observations(dataset, split_seed, test_fraction):
     return subset(train_idx), subset(test_idx)
 
 
-def ingest_ratings(path, split_seed=0, test_fraction=0.2, rating_range=(1.0, 5.0)):
+def ingest_ratings(path, split_seed=0, test_fraction=0.2):
     """Parse a ratings file and split it into (train, test) observation sets."""
-    dataset = load_ratings(path, rating_range=rating_range)
+    dataset = load_ratings(path)
     return split_observations(dataset, split_seed, test_fraction)

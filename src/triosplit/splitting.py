@@ -29,6 +29,10 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
 
+DECAY_FLOOR = 0.9999       # a decay never goes below DECAY_FLOOR * gamma0
+DIVERGENCE_SPEED = 1000.0  # a y-step above DIVERGENCE_SPEED / t is fast motion
+MAGNITUDE_CAP = 1e10       # an iterate entry above MAGNITUDE_CAP is too large
+
 
 class DiagnosticsUnavailable(RuntimeError):
     """Energy diagnostics were requested but value oracles are missing."""
@@ -101,15 +105,12 @@ class StepSizePolicy:
     """Adaptive step-size heuristic.
 
     The run starts at k * gamma0 and, while gamma > gamma0, replaces it by
-    max(gamma/2, decay_floor * gamma0) whenever the latest y-step exceeds
-    divergence_speed / t or the iterate magnitude exceeds magnitude_cap.
+    max(gamma/2, DECAY_FLOOR * gamma0) whenever the latest y-step exceeds
+    DIVERGENCE_SPEED / t or the iterate magnitude exceeds MAGNITUDE_CAP.
     """
 
     gamma0: float
     k: float = 1.0
-    decay_floor: float = 0.9999
-    divergence_speed: float = 1000.0
-    magnitude_cap: float = 1e10
 
     def __post_init__(self):
         if not self.gamma0 > 0:
@@ -296,10 +297,10 @@ def adapt_gamma(policy, gamma, row):
     """Next step size under the decay heuristic, given the latest trace row."""
     if gamma <= policy.gamma0:
         return gamma
-    fast = row.dy_norm > policy.divergence_speed / row.t
-    large = row.y_inf > policy.magnitude_cap
+    fast = row.dy_norm > DIVERGENCE_SPEED / row.t
+    large = row.y_inf > MAGNITUDE_CAP
     if fast or large:
-        return max(gamma / 2.0, policy.decay_floor * policy.gamma0)
+        return max(gamma / 2.0, DECAY_FLOOR * policy.gamma0)
     return gamma
 
 

@@ -1,8 +1,12 @@
 import io
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from triosplit import cs as cs_mod
+from triosplit import matcomp as mc_mod
 from triosplit.experiments import (ConfigError, ExperimentConfig, PRESETS,
                                    build_config, diagnose_gamma, run_experiment)
 from triosplit.splitting import lambda_threshold, max_step_size
@@ -70,6 +74,12 @@ class TestConfig:
         assert cfg.sigmas == (0.0,)
         assert cfg.m == 20
 
+    @pytest.mark.parametrize("sigmas", [(0.01, -0.01), (float("nan"),)])
+    def test_negative_or_nan_noise_rejected(self, sigmas):
+        # either would otherwise run as a noiseless cell labelled with the bad value
+        with pytest.raises(ConfigError, match="nonnegative"):
+            ExperimentConfig(task="cs_noise", sigmas=sigmas)
+
     def test_ratings_task_requires_path(self):
         with pytest.raises(ConfigError, match="ratings"):
             ExperimentConfig(task="matcomp_ratings")
@@ -100,17 +110,6 @@ class TestMatcompDriver:
         for row in table.select(record="trial"):
             assert row["status"] == "converged"
             assert row["rel_error"] < 1e-3
-
-    def test_aggregates_recomputable(self, table):
-        for method in ("dys", "drs"):
-            rows = table.select(record="trial", method=method)
-            agg = table.select(record="aggregate", method=method)[0]
-            errs = [r["rel_error"] for r in rows]
-            assert agg["rel_error"] == pytest.approx(np.mean(errs), abs=1e-12)
-            assert agg["err_std"] == pytest.approx(np.std(errs), abs=1e-12)
-            assert agg["iterations"] == pytest.approx(
-                np.mean([r["iterations"] for r in rows]), abs=1e-12)
-            assert agg["success_rate"] == 1.0
 
     def test_rerun_is_byte_identical(self, table):
         again = run_experiment(small_matcomp_config())
@@ -193,6 +192,72 @@ class TestRatingsDriver:
             assert row["rmse"] > 0
             assert row["train_count"] > 0 and row["test_count"] > 0
         assert len(table.select(record="aggregate")) == 2
+
+
+def aggregate_case(task, tmp_path):
+    """A small config of the task, with the grid keys of its aggregate rows."""
+    if task == "matcomp_synth":
+        return small_matcomp_config(trials=3), ("method",)
+    if task == "matcomp_ratings":
+        config = replace(ratings_config(tmp_path, max_iter=20), trials=2, ranks=(2, 3))
+        return config, ("method", "rank")
+    if task == "cs_recovery":
+        # s = 5 is listed twice: both aggregates come from the merged cell,
+        # where dys succeeds on some trials only
+        config = small_cs_config(methods=("admm", "dys"), trials=3, sparsity_levels=(2, 5, 5))
+    else:
+        config = small_cs_config(task="cs_noise", methods=("admm", "dys"), sigmas=(0.01, 0.0))
+    return config, ("method", "s", "sigma")
+
+
+@pytest.mark.parametrize("task", ["matcomp_synth", "cs_recovery", "cs_noise", "matcomp_ratings"])
+def test_aggregates_recomputable(task, tmp_path):
+    config, keys = aggregate_case(task, tmp_path)
+    table = run_experiment(config)
+    sensing = task.startswith("cs")
+    error, error_std = ("rmse", "rmse_std") if task == "matcomp_ratings" else ("rel_error", "err_std")
+    aggregates = table.select(record="aggregate")
+    assert aggregates
+    for agg in aggregates:
+        rows = table.select(record="trial", **{k: agg[k] for k in keys})
+        assert rows
+        wins = [r["success"] if sensing else r["status"] == "converged" for r in rows]
+        # the noiseless protocol pools the error over successful trials only
+        pool = [r for r, win in zip(rows, wins) if win] if task == "cs_recovery" else rows
+        errs = [r[error] for r in pool]
+        assert agg[error] == pytest.approx(np.mean(errs), abs=1e-12, nan_ok=True)
+        assert agg[error_std] == pytest.approx(np.std(errs), abs=1e-12, nan_ok=True)
+        assert agg["iterations"] == pytest.approx(
+            np.mean([r["iterations"] for r in rows]), abs=1e-12)
+        assert agg["success_rate"] == pytest.approx(np.mean(wins), abs=1e-12)
+        if sensing:
+            spars = [r["sparsity"] for r in rows]
+            assert agg["sparsity"] == pytest.approx(np.mean(spars), abs=1e-12)
+            assert agg["sparsity_std"] == pytest.approx(np.std(spars), abs=1e-12)
+    if task == "cs_recovery":
+        assert len(aggregates) == 6  # one per listed (s, method), s = 5 twice
+        assert any(0.0 < agg["success_rate"] < 1.0 for agg in aggregates)
+
+
+@pytest.mark.parametrize("task, solver", [("matcomp_synth", "dys_complete"),
+                                          ("matcomp_ratings", "dys_complete"),
+                                          ("cs_recovery", "admm_lasso")])
+def test_driver_keeps_no_result_past_its_row(task, solver, tmp_path, monkeypatch):
+    # at each solver call, every earlier result but the latest is collected
+    module = cs_mod if task.startswith("cs") else mc_mod
+    refs, held = [], []
+    call = getattr(module, solver)
+
+    def watched(*args, **kwargs):
+        held.append(sum(ref() is not None for ref in refs[:-1]))
+        res = call(*args, **kwargs)
+        refs.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(module, solver, watched)
+    run_experiment(aggregate_case(task, tmp_path)[0])
+    assert len(refs) >= 3
+    assert held == [0] * len(refs)
 
 
 def test_numeric_cells_parse_as_floats(matcomp_table, tmp_path):

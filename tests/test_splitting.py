@@ -421,8 +421,8 @@ class TestRun:
         rng = np.random.default_rng(10)
         problem = make_composite_problem(rng, 5)
         g0 = max_step_size(problem.L, problem.l, problem.beta)
-        policy = StepSizePolicy(gamma0=g0, k=8.0, divergence_speed=1e-8)
-        res = run(problem, 10.0 + rng.standard_normal(5), policy=policy,
+        policy = StepSizePolicy(gamma0=g0, k=8.0)
+        res = run(problem, 1e4 + rng.standard_normal(5), policy=policy,
                   rule=StoppingRule(max_iter=50))
         gammas = res.trace.column("gamma")
         assert gammas[0] == pytest.approx(8.0 * g0)
