@@ -21,8 +21,8 @@ import numpy as np
 from .linalg import as_matrix, as_vector, gram_spectral_norm
 from .prox import GramSolver, grad_neg_l2, soft_threshold
 # the benchmark hooks run and check_stop here (check_stop is imported only for it)
-from .splitting import (CONVERGED, DIVERGED, MAX_ITER, RunTrace, StepSizePolicy,
-                        StoppingRule, ThreeTermProblem, _iterate,
+from .splitting import (CONVERGED, DIVERGED, MAX_ITER, RunTrace, SplittingState,
+                        StepSizePolicy, StoppingRule, ThreeTermProblem, _iterate,
                         check_stop, max_step_size, run)
 
 SUCCESS_THRESHOLD = 1e-4
@@ -133,8 +133,9 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=
         x+ = x + rho (y+ - z+)
     The x feedback in the first step is unscaled; scaling it by rho would
     decouple the dual from the least-squares step and stall convergence.
-    Returns ((y, z, x), trace, status); a non-finite step ends the run
-    diverged with the last finite triple.
+    Returns a RunResult whose state is SplittingState(x=dual, y=least-squares
+    iterate, z=consensus iterate), the names the reports' end_state uses; a
+    non-finite step ends the run diverged with the last finite triple.
     """
     n = A.shape[1]
     solver = GramSolver(A) if solver is None else solver
@@ -142,21 +143,20 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=
     rhs_const = Atb if shift is None else Atb + shift
 
     def advance(state, t):
-        _, z, x = state
-        y = solver.solve(rho, rhs_const + rho * z - x)
-        z_new = soft_threshold(y + x / rho, lam / rho)
-        return y, z_new, x + rho * (y - z_new)
+        x = state.x
+        y = solver.solve(rho, rhs_const + rho * state.z - x)
+        z = soft_threshold(y + x / rho, lam / rho)
+        return SplittingState(x=x + rho * (y - z), y=y, z=z)
 
     def measure(old, new, t):
-        y, z, x = new
-        r = float(np.linalg.norm(y - z))
-        return SimpleNamespace(t=t, dy_norm=float(np.linalg.norm(y - old[0])), zy_gap=r,
-                               r_primal=r, s_dual=rho * float(np.linalg.norm(z - old[1])),
-                               x_norm=float(np.linalg.norm(x)), y_norm=float(np.linalg.norm(y)),
-                               z_norm=float(np.linalg.norm(z)))
+        r = float(np.linalg.norm(new.y - new.z))
+        return SimpleNamespace(t=t, dy_norm=float(np.linalg.norm(new.y - old.y)), zy_gap=r,
+                               r_primal=r, s_dual=rho * float(np.linalg.norm(new.z - old.z)),
+                               x_norm=float(np.linalg.norm(new.x)), y_norm=float(np.linalg.norm(new.y)),
+                               z_norm=float(np.linalg.norm(new.z)))
 
-    start = (np.zeros(n), np.zeros(n) if z0 is None else z0.copy(),
-             np.zeros(n) if x0 is None else x0.copy())
+    start = SplittingState(x=np.zeros(n) if x0 is None else x0.copy(), y=np.zeros(n),
+                           z=np.zeros(n) if z0 is None else z0.copy())
     return _iterate(advance, measure, start, rule)
 
 
@@ -189,11 +189,11 @@ def admm_lasso(inst, rule=None, lam=None, rho=None):
         rule = StoppingRule()
     lam = _pick(lam, inst.lam, ADMM_LAMBDA)
     rho = _pick(rho, inst.rho, ADMM_RHO)
-    if lam < 0 or rho <= 0:
+    if not (lam >= 0 and rho > 0):
         raise ValueError("need lam >= 0 and rho > 0")
-    (y, z, x), trace, status = _multiplier_loop(inst.A, inst.b, lam, rho, rule)
-    report = RecoveryReport(x_opt=z, iterations=len(trace), status=status,
-                            end_state=dict(y=y, z=z, x=x, lam=lam, rho=rho), trace=trace)
+    res = _multiplier_loop(inst.A, inst.b, lam, rho, rule)
+    report = RecoveryReport(x_opt=res.state.z, iterations=len(res.trace), status=res.status,
+                            end_state=dict(res.state._asdict(), lam=lam, rho=rho), trace=res.trace)
     return report.attach_metrics(inst.x_true)
 
 
@@ -222,6 +222,8 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
         raise ValueError("outer_max must be at least 1")
     lam = _pick(lam, inst.lam, L12_LAMBDA)
     rho = _pick(rho, inst.rho, DCA_RHO)
+    if not (lam >= 0 and rho > 0):
+        raise ValueError("need lam >= 0 and rho > 0")
     solver = GramSolver(inst.A)
     y_outer = np.zeros(inst.n)
     z0 = x0 = None
@@ -231,22 +233,21 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     for _ in range(outer_max):
         ny = np.linalg.norm(y_outer)
         shift = (lam / ny) * y_outer if ny > 0 else None
-        (y, z, x), trace, inner_status = _multiplier_loop(
-            inst.A, inst.b, lam, rho, inner_rule, shift=shift, z0=z0, x0=x0,
-            solver=solver)
-        total += len(trace)
-        if inner_status == DIVERGED:
+        res = _multiplier_loop(inst.A, inst.b, lam, rho, inner_rule, shift=shift,
+                               z0=z0, x0=x0, solver=solver)
+        total += len(res.trace)
+        if res.status == DIVERGED:
             status = DIVERGED
             break
-        change = np.linalg.norm(y - y_outer) / max(ny, 1.0)
-        y_outer, z0, x0 = y, z, x
+        change = np.linalg.norm(res.state.y - y_outer) / max(ny, 1.0)
+        y_outer, z0, x0 = res.state.y, res.state.z, res.state.x
         if change < outer_tol:
-            status = CONVERGED if inner_status == CONVERGED else MAX_ITER
+            status = CONVERGED if res.status == CONVERGED else MAX_ITER
             break
     report = RecoveryReport(x_opt=y_outer, iterations=total, status=status,
                             end_state=dict(y=y_outer, z=z0, x=x0, lam=lam,
                                            rho=rho, shift=shift),
-                            trace=trace)
+                            trace=res.trace)
     return report.attach_metrics(inst.x_true)
 
 
@@ -275,7 +276,7 @@ def dys_l12(inst, policy=None, rule=None, gamma=None, lam=None, k=DEFAULT_K,
     if rule is None:
         rule = StoppingRule()
     lam = _pick(lam, inst.lam, L12_LAMBDA)
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     L = max(gram_spectral_norm(inst.A), np.finfo(float).tiny)
     Atb = inst.A.T @ inst.b
@@ -314,8 +315,7 @@ def dys_l12(inst, policy=None, rule=None, gamma=None, lam=None, k=DEFAULT_K,
         min_y_norm=min_y,
         origin_hits=int(np.count_nonzero(y_norms < ORIGIN_GUARD)),
         beta_local=lam / max(min_y, np.finfo(float).tiny) if math.isfinite(min_y) else float("nan"),
-        end_state=dict(x=res.state.x, y=res.state.y, z=res.state.z,
-                       gamma=final_gamma, lam=lam),
+        end_state=dict(res.state._asdict(), gamma=final_gamma, lam=lam),
         trace=res.trace,
     )
     return report.attach_metrics(inst.x_true)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -77,6 +78,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not all(sigma >= 0 for sigma in self.sigmas):  # and not NaN, which select never matches
             raise ConfigError(f"noise levels {self.sigmas} must be nonnegative")
+        for name in ("lam", "k_init", "beta", "L", "l"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.lam is not None and self.lam < 0:
+            raise ConfigError(f"lam must be nonnegative, got {self.lam!r}")
         object.__setattr__(self, "methods", _normalize_methods(self.task, self.methods))
         if self.task == "matcomp_ratings" and not self.ratings_path:
             raise ConfigError("matcomp_ratings needs a ratings file path")

@@ -52,7 +52,7 @@ class CompletionInstance:
             raise ValueError("need at least one observed entry")
         if not 1 <= self.r <= min(self.shape):
             raise ValueError(f"rank {self.r} outside [1, {min(self.shape)}]")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
 
     @property

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,28 +42,12 @@ class OracleError(RuntimeError):
     """A prox or gradient oracle failed during a run."""
 
 
-@dataclass(frozen=True)
-class SplittingState:
-    """Iterate triple (x, y, z) plus the iteration counter."""
+class SplittingState(NamedTuple):
+    """Iterate triple (x, y, z); the multiplier loop holds (dual, least-squares, consensus)."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        if not (self.x.shape == self.y.shape == self.z.shape):
-            raise ValueError("x, y, z must share one shape")
-
-    def __iter__(self):
-        """The arrays x, y, z, in that order."""
-        return iter((self.x, self.y, self.z))
-
-    @classmethod
-    def initial(cls, x0):
-        """Starting state; y and z are seeded with x0 before the first step."""
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x=x0, y=x0, z=x0, t=0)
 
 
 @dataclass(frozen=True)
@@ -90,9 +74,9 @@ class ThreeTermProblem:
     def __post_init__(self):
         if not self.L > 0:
             raise ValueError("L must be positive")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
-        if self.l > self.L:
+        if not self.l <= self.L:
             raise ValueError("l cannot exceed L")
 
     @property
@@ -115,7 +99,7 @@ class StepSizePolicy:
     def __post_init__(self):
         if not self.gamma0 > 0:
             raise ValueError("gamma0 must be positive")
-        if self.k < 1:
+        if not self.k >= 1:
             raise ValueError("k must be at least 1")
 
     def initial_gamma(self):
@@ -136,7 +120,7 @@ class StoppingRule:
     max_iter: int = 50000
 
     def __post_init__(self):
-        if self.eps_abs <= 0 or self.eps_rel <= 0:
+        if not (self.eps_abs > 0 and self.eps_rel > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -207,21 +191,25 @@ class RunTrace:
             f.write(",".join(cells) + "\n")
 
 
-@dataclass
-class RunResult:
-    state: SplittingState
+class RunResult(NamedTuple):
+    """What every solver loop returns: the last finite state, its trace, a status."""
+
+    state: tuple  # a SplittingState, or a plain tuple of arrays for the baselines
     trace: RunTrace
     status: str
 
 
 def dys_step(problem, state, gamma):
-    """One pass of the three-operator iteration at step size gamma."""
+    """One pass of the three-operator iteration at step size gamma; an
+    oracle output y or z whose shape differs from x's raises ValueError."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    y1 = problem.prox_f(state.x, gamma)
-    z1 = problem.prox_g(2.0 * y1 - gamma * problem.grad_h(y1) - state.x, gamma)
-    x1 = state.x + (z1 - y1)
-    return SplittingState(x=x1, y=y1, z=z1, t=state.t + 1)
+    x = state.x
+    y1 = problem.prox_f(x, gamma)
+    z1 = problem.prox_g(2.0 * y1 - gamma * problem.grad_h(y1) - x, gamma)
+    if not (y1.shape == z1.shape == x.shape):
+        raise ValueError("x, y, z must share one shape")
+    return SplittingState(x=x + (z1 - y1), y=y1, z=z1)
 
 
 def lambda_threshold(gamma, L, l, beta):
@@ -349,9 +337,10 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
 
     Returns
     -------
-    RunResult with the final state, the trace, and a status among
+    RunResult with the final SplittingState, the trace, and a status among
     "converged", "max_iter", "diverged". Non-finite iterates stop the run
-    with the last finite state.
+    with the last finite state. An oracle that raises, or returns a y or z
+    whose shape differs from x's, raises OracleError naming the iteration.
     """
     if gamma is not None and policy is not None:
         raise ValueError("pass either gamma or policy, not both")
@@ -366,7 +355,8 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
     else:
         cur_gamma = 0.99 * max_step_size(problem.L, problem.l, problem.beta)
 
-    start = SplittingState.initial(x0)
+    x0 = np.asarray(x0, dtype=float)
+    start = SplittingState(x0, x0, x0)
 
     def advance(state, t):
         try:
@@ -390,34 +380,33 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
             cur_gamma = adapt_gamma(policy, cur_gamma, row)
         return row
 
-    state, trace, status = _iterate(advance, measure, start, rule)
-    return RunResult(state=state, trace=trace, status=status)
+    return _iterate(advance, measure, start, rule)
 
 
 def _iterate(advance, measure, start, rule):
-    """The one iteration loop behind every solver; returns (state, trace, status).
+    """The one iteration loop behind every solver; returns a RunResult.
 
-    advance(state, t) returns iteration t's state, an iterable of arrays (a
-    SplittingState or a tuple); measure(old, new, t) returns its trace row
-    (see RunTrace) once every array of the new state is finite. check_stop
-    scales its tolerances by the size of the state's first array. A
+    advance(state, t) returns iteration t's state, a tuple of arrays (a
+    SplittingState or a plain tuple); measure(old, new, t) returns its trace
+    row (see RunTrace) once every array of the new state is finite.
+    check_stop scales its tolerances by the size of the state's first array. A
     non-finite state ends the run diverged, keeping the last finite state
     and not counting the failed iteration, so the count is always
     len(trace); a recorded y_inf above 1e30 ends it diverged at that state.
     """
-    dims = next(iter(start)).size
+    dims = start[0].size
     trace = RunTrace()
     state = start
     for t in range(1, rule.max_iter + 1):
         new = advance(state, t)
         for array in new:
             if not np.isfinite(array).all():
-                return state, trace, DIVERGED
+                return RunResult(state, trace, DIVERGED)
         row = measure(state, new, t)
         trace.append(row)
         state = new
         if getattr(row, "y_inf", 0.0) > 1e30:
-            return state, trace, DIVERGED
+            return RunResult(state, trace, DIVERGED)
         if check_stop(rule, row, dims):
-            return state, trace, CONVERGED
-    return state, trace, MAX_ITER
+            return RunResult(state, trace, CONVERGED)
+    return RunResult(state, trace, MAX_ITER)

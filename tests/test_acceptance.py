@@ -173,7 +173,7 @@ def test_criterion_04_identity_suite():
     collapse_ok = True
     for _ in range(100):
         x, y = rng.standard_normal((2, 6))
-        state = SplittingState(x=x, y=y, z=y.copy(), t=1)
+        state = SplittingState(x=x, y=y, z=y.copy())
         val = energy(problem, state, 0.2)
         ref = problem.value_f(y) + problem.value_g(y) + problem.value_h(y)
         if abs(val - ref) > 1e-12 * max(abs(ref), 1.0):
@@ -194,7 +194,7 @@ def test_criterion_05_reduction_equivalence():
     gamma = 0.3
     x0 = rng.standard_normal(n)
     ref = drs_reference(prox_f, prox_g, x0, gamma, iters=200)
-    state = SplittingState.initial(x0)
+    state = SplittingState(x0, x0, x0)
     worst_two = 0.0
     for t in range(200):
         state = dys_step(two_block, state, gamma)
@@ -209,7 +209,7 @@ def test_criterion_05_reduction_equivalence():
     gradient_only = ThreeTermProblem(prox_f=lambda v, g: v, prox_g=prox_g,
                                      grad_h=grad_h, L=1.0, beta=0.9)
     ref_fbs = fbs_reference(prox_g, grad_h, x0, 0.5, iters=200)
-    state = SplittingState.initial(x0)
+    state = SplittingState(x0, x0, x0)
     worst_fbs = 0.0
     for t in range(200):
         state = dys_step(gradient_only, state, 0.5)

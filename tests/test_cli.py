@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from triosplit.cli import main
 from triosplit.experiments import ResultTable
@@ -122,6 +123,21 @@ class TestExitCodes:
                      str(tmp_path / "x.csv")])
         assert code == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["matcomp", "--lam", "nan"], ["matcomp", "--lam", "-1"],
+        ["matcomp", "--k", "nan"], ["matcomp", "--beta", "nan"],
+        ["cs", "--k", "nan"], ["cs", "--lam", "nan"], ["cs", "--lam", "-1"],
+        ["diagnose", "--beta", "nan"], ["diagnose", "--L", "nan"], ["diagnose", "--l", "nan"],
+    ])
+    def test_nan_or_negative_setting_is_a_config_error(self, argv, tmp_path, capsys):
+        small = {"matcomp": ["--n", "20", "--r", "2", "--trials", "1"],
+                 "cs": ["--m", "10", "--n", "40", "--s", "1", "--F", "1", "--trials", "1"],
+                 "diagnose": []}[argv[0]]
+        code = main(argv + small + ["--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_config_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -7,7 +7,8 @@ from triosplit.cs import (SPARSITY_TRUNCATION, SensingInstance, _multiplier_loop
                           noise_scaled_weight, truncated_sparsity)
 from triosplit.datagen import DctSpec, gen_dct_matrix, gen_sparse_signal
 from triosplit.prox import GramSolver, grad_neg_l2, soft_threshold
-from triosplit.splitting import CONVERGED, DIVERGED, MAX_ITER, StoppingRule
+from triosplit.splitting import (CONVERGED, DIVERGED, MAX_ITER, RunResult,
+                                 SplittingState, StoppingRule)
 
 from oracles import ista_lasso
 
@@ -141,17 +142,26 @@ class TestMultiplierLoop:
     def test_nan_solve_keeps_last_finite_triple(self):
         rng = np.random.default_rng(17)
         inst = gaussian_instance(rng, 15, 40, 3)
-        (y, z, x), trace, status = _multiplier_loop(
-            inst.A, inst.b, 1e-4, 1e-3, StoppingRule(max_iter=50),
-            solver=NanOnThirdSolve(inst.A))
-        assert status == DIVERGED
-        assert len(trace) == 2
-        (y2, z2, x2), trace2, status2 = _multiplier_loop(
-            inst.A, inst.b, 1e-4, 1e-3, StoppingRule(max_iter=2))
-        assert status2 == MAX_ITER
-        for got, want in ((y, y2), (z, z2), (x, x2)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(trace.column("r_primal"), trace2.column("r_primal"))
+        res = _multiplier_loop(inst.A, inst.b, 1e-4, 1e-3, StoppingRule(max_iter=50),
+                               solver=NanOnThirdSolve(inst.A))
+        assert res.status == DIVERGED
+        assert len(res.trace) == 2
+        ref = _multiplier_loop(inst.A, inst.b, 1e-4, 1e-3, StoppingRule(max_iter=2))
+        assert ref.status == MAX_ITER
+        for name in ("x", "y", "z"):
+            assert np.array_equal(getattr(res.state, name), getattr(ref.state, name))
+        assert np.array_equal(res.trace.column("r_primal"), ref.trace.column("r_primal"))
+
+    def test_first_step_names_dual_least_squares_and_consensus(self):
+        rng = np.random.default_rng(18)
+        inst = gaussian_instance(rng, 15, 40, 3)
+        lam, rho = 0.05, 0.5
+        res = _multiplier_loop(inst.A, inst.b, lam, rho, StoppingRule(max_iter=1))
+        assert isinstance(res, RunResult) and isinstance(res.state, SplittingState)
+        state = res.state
+        assert np.any(state.z) and np.any(state.y != state.z)
+        assert np.array_equal(state.z, soft_threshold(state.y, lam / rho))
+        assert np.array_equal(state.x, rho * (state.y - state.z))
 
     def test_admm_report_keeps_finite_end_state(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -340,3 +350,11 @@ class TestDysL12:
         without = dys_l12(inst, lam=1e-3, gamma=0.02, rule=StoppingRule(max_iter=5))
         with pytest.raises(KeyError):
             without.trace.column("energy")
+
+
+@pytest.mark.parametrize("solver", [admm_lasso, dca_l12, dys_l12])
+@pytest.mark.parametrize("lam", [float("nan"), -1e-3])
+def test_nan_or_negative_weight_rejected(solver, lam):
+    inst = gaussian_instance(np.random.default_rng(19), 10, 30, 2)
+    with pytest.raises(ValueError, match="lam"):
+        solver(inst, lam=lam)

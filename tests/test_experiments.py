@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nonnegative"):
             ExperimentConfig(task="cs_noise", sigmas=sigmas)
 
+    @pytest.mark.parametrize("setting", [
+        dict(lam=float("nan")), dict(lam=-1.0), dict(lam=float("inf")),
+        dict(k_init=float("nan")), dict(beta=float("nan")), dict(L=float("nan")),
+        dict(l=float("nan")), dict(beta=float("inf")),
+    ])
+    def test_non_finite_or_negative_solver_setting_rejected(self, setting):
+        with pytest.raises(ConfigError, match=next(iter(setting))):
+            ExperimentConfig(**setting)
+
     def test_ratings_task_requires_path(self):
         with pytest.raises(ConfigError, match="ratings"):
             ExperimentConfig(task="matcomp_ratings")

@@ -35,8 +35,9 @@ class TestInstance:
         obs = ObservationSet([0], [0], [1.0], (4, 4))
         with pytest.raises(ValueError, match="rank"):
             CompletionInstance(obs, (4, 4), 5, 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            CompletionInstance(obs, (4, 4), 1, -1.0)
+        for lam in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                CompletionInstance(obs, (4, 4), 1, lam)
         empty = ObservationSet([], [], [], (4, 4))
         with pytest.raises(ValueError, match="least one"):
             CompletionInstance(empty, (4, 4), 1, 0.0)
@@ -82,7 +83,7 @@ class TestDysComplete:
         inst, _ = desk_instance
         problem = _completion_problem(inst, inst.lam, 1.0, False)
         gamma = 0.12
-        state = SplittingState.initial(np.zeros(inst.shape))
+        state = SplittingState(*[np.zeros(inst.shape)] * 3)
         for _ in range(5):
             prev_x = state.x
             state = dys_step(problem, state, gamma)

@@ -87,12 +87,11 @@ class TestDysStep:
     def test_zero_functions_fix_every_point(self):
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(5)
-        state = SplittingState.initial(x0)
+        state = SplittingState(x0, x0, x0)
         new = dys_step(zero_problem(), state, 0.3)
         assert np.array_equal(new.x, x0)
         assert np.array_equal(new.y, x0)
         assert np.array_equal(new.z, x0)
-        assert new.t == 1
 
     def test_reduces_to_forward_backward_without_first_term(self):
         rng = np.random.default_rng(1)
@@ -105,7 +104,7 @@ class TestDysStep:
         gamma = 0.4
         x0 = rng.standard_normal(n)
         ref = fbs_reference(prox_g, grad_h, x0, gamma, iters=1)[0]
-        new = dys_step(problem, SplittingState.initial(x0), gamma)
+        new = dys_step(problem, SplittingState(x0, x0, x0), gamma)
         assert np.allclose(new.x, ref, atol=1e-14)
         assert np.array_equal(new.z, new.x)
 
@@ -120,7 +119,7 @@ class TestDysStep:
         gamma = 0.25
         x0 = rng.standard_normal(n)
         ref_x, ref_y, ref_z = drs_reference(prox_f, prox_g, x0, gamma, iters=1)[0]
-        new = dys_step(problem, SplittingState.initial(x0), gamma)
+        new = dys_step(problem, SplittingState(x0, x0, x0), gamma)
         assert np.array_equal(new.x, ref_x)
         assert np.array_equal(new.y, ref_y)
         assert np.array_equal(new.z, ref_z)
@@ -180,7 +179,7 @@ class TestEnergy:
         for _ in range(100):
             x = rng.standard_normal(5)
             y = rng.standard_normal(5)
-            state = SplittingState(x=x, y=y, z=y.copy(), t=1)
+            state = SplittingState(x=x, y=y, z=y.copy())
             val = energy(problem, state, 0.2)
             ref = problem.value_f(y) + problem.value_g(y) + problem.value_h(y)
             assert val == pytest.approx(ref, rel=1e-12, abs=1e-12)
@@ -199,7 +198,7 @@ class TestEnergy:
         gamma = 0.3
         for _ in range(20):
             x, y, z = rng.standard_normal((3, n))
-            state = SplittingState(x=x, y=y, z=z, t=1)
+            state = SplittingState(x=x, y=y, z=z)
             ref = drs_merit_reference(value_f, value_g, x, y, z, gamma)
             assert energy(problem, state, gamma) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
@@ -215,14 +214,14 @@ class TestEnergy:
     def test_missing_value_oracles_raise(self):
         problem = ThreeTermProblem(prox_f=identity_prox, prox_g=identity_prox,
                                    grad_h=lambda y: np.zeros_like(y), L=1.0)
-        state = SplittingState.initial(np.zeros(2))
+        state = SplittingState(*[np.zeros(2)] * 3)
         with pytest.raises(DiagnosticsUnavailable, match="unavailable"):
             energy(problem, state, 0.1)
 
     def test_infeasible_indicator_point_gives_infinite_energy(self):
         rng = np.random.default_rng(6)
         problem = make_composite_problem(rng, 3, g_kind="box")
-        state = SplittingState(x=np.zeros(3), y=np.zeros(3), z=np.full(3, 5.0), t=1)
+        state = SplittingState(x=np.zeros(3), y=np.zeros(3), z=np.full(3, 5.0))
         assert energy(problem, state, 0.2) == np.inf
 
 
@@ -340,13 +339,13 @@ def test_every_solver_stops_under_a_plain_rule(call, dims):
 
 class TestStationarityBound:
     def test_zero_gap_is_certificate(self):
-        state = SplittingState(x=np.ones(3), y=np.ones(3), z=np.ones(3), t=1)
+        state = SplittingState(x=np.ones(3), y=np.ones(3), z=np.ones(3))
         assert stationarity_bound(state, 0.1, 1.0, 1.0) == 0.0
 
     def test_direct_formula(self):
         z = np.zeros(4)
         z[0] = 1.0
-        state = SplittingState(x=np.zeros(4), y=np.zeros(4), z=z, t=1)
+        state = SplittingState(x=np.zeros(4), y=np.zeros(4), z=z)
         assert stationarity_bound(state, 0.1, 1.0, 1.0) == pytest.approx(12.0)
 
     def test_decreases_along_converging_run_tail(self):
@@ -454,6 +453,14 @@ class TestRun:
         with pytest.raises(OracleError, match="iteration 1"):
             run(problem, np.zeros(2), gamma=0.5)
 
+    def test_oracle_output_of_another_shape_is_an_oracle_error(self):
+        problem = ThreeTermProblem(prox_f=identity_prox,
+                                   prox_g=lambda v, gamma: v.reshape(-1, 1),
+                                   grad_h=lambda y: np.zeros_like(y), L=1.0)
+        with pytest.raises(OracleError, match="iteration 1") as info:
+            run(problem, np.ones(3), gamma=0.5)
+        assert "one shape" in str(info.value.__cause__)
+
     def test_gamma_and_policy_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             run(zero_problem(), np.zeros(2), gamma=0.1,
@@ -464,6 +471,21 @@ class TestRun:
         res = run(problem, np.ones(2))
         expected = 0.99 * max_step_size(problem.L, problem.l, problem.beta)
         assert res.trace.last.gamma == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StoppingRule(eps_abs=float("nan")),
+    lambda: StoppingRule(eps_rel=float("nan")),
+    lambda: StepSizePolicy(gamma0=0.1, k=float("nan")),
+    lambda: StepSizePolicy(gamma0=float("nan")),
+    lambda: ThreeTermProblem(prox_f=identity_prox, prox_g=identity_prox,
+                             grad_h=identity_prox, L=1.0, beta=float("nan")),
+    lambda: ThreeTermProblem(prox_f=identity_prox, prox_g=identity_prox,
+                             grad_h=identity_prox, L=1.0, l=float("nan")),
+])
+def test_nan_setting_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +529,8 @@ class TestIdentities:
     def test_update_law_between_recorded_states(self):
         rng = np.random.default_rng(14)
         problem = make_composite_problem(rng, 5)
-        state = SplittingState.initial(rng.standard_normal(5))
+        x0 = rng.standard_normal(5)
+        state = SplittingState(x0, x0, x0)
         for _ in range(30):
             new = dys_step(problem, state, 0.1)
             gap = (new.x - state.x) - (new.z - new.y)
@@ -527,7 +550,7 @@ class TestReductionEquivalence:
         gamma = 0.3
         x0 = rng.standard_normal(n)
         ref = drs_reference(prox_f, prox_g, x0, gamma, iters=200)
-        state = SplittingState.initial(x0)
+        state = SplittingState(x0, x0, x0)
         for t in range(200):
             state = dys_step(problem, state, gamma)
             rx, ry, rz = ref[t]
@@ -546,7 +569,7 @@ class TestReductionEquivalence:
         gamma = 0.5
         x0 = rng.standard_normal(n)
         ref = fbs_reference(prox_g, grad_h, x0, gamma, iters=200)
-        state = SplittingState.initial(x0)
+        state = SplittingState(x0, x0, x0)
         for t in range(200):
             state = dys_step(problem, state, gamma)
             assert np.max(np.abs(state.x - ref[t])) <= 1e-12
