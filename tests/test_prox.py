@@ -178,6 +178,20 @@ class TestProxLeastSquares:
             assert len(factored) == 3  # only the latest step size is held
             assert np.isfinite(r1).all() and np.isfinite(r2).all()
 
+    @pytest.mark.parametrize("shape", [(9, 14), (14, 9)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_size_rejected(self, shape, mu):
+        rng = np.random.default_rng(16)
+        solver = GramSolver(rng.standard_normal(shape))
+        with pytest.raises(ValueError):
+            solver.solve(mu, rng.standard_normal(shape[1]))
+
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        rng = np.random.default_rng(17)
+        with pytest.raises(ValueError):
+            prox_least_squares(rng.standard_normal((9, 14)), np.ones(9), np.ones(14), gamma)
+
 
 class TestGramSolverAccuracy:
     """The one-pass wide solve on a coherent frame, at the step sizes the
@@ -209,6 +223,20 @@ class TestGramSolverAccuracy:
         mu, (c, _), W = solver._cache
         assert mu == 1e-3
         assert c.shape == (40, 40) and W.shape == (40, 300)
+
+    @pytest.mark.parametrize("mu", [1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("shape", [(100, 1500), (300, 40)], ids=["100x1500", "300x40"])
+    def test_forward_error_at_sensing_size_and_tall(self, shape, mu):
+        # the benchmark's sensing frame, and the tall path on the transposed
+        # 40 x 300 frame
+        m, n = min(shape), max(shape)
+        A = gen_dct_matrix(DctSpec(m, n, 10), seed=0)
+        A = A if shape == (m, n) else A.T
+        rng = np.random.default_rng(21)
+        b, x = rng.standard_normal(shape[0]), rng.standard_normal(shape[1])
+        y = GramSolver(A).solve(mu, A.T @ b + mu * x)
+        ref = augmented_least_squares(A, b, x, mu)
+        assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-10
 
 
 class TestGradients:
