@@ -438,9 +438,9 @@ class GammaReport:
     def to_table(self):
         table = ResultTable("diagnose.v1", DIAGNOSE_COLUMNS)
         table.add(record="root", gamma=self.gamma0,
-                  lambda_value=float(lambda_threshold(self.gamma0, *self.constants)))
+                  lambda_value=lambda_threshold(self.gamma0, *self.constants))
         table.add(record="recommended", gamma=self.recommended,
-                  lambda_value=float(lambda_threshold(self.recommended, *self.constants)))
+                  lambda_value=lambda_threshold(self.recommended, *self.constants))
         for g, val in self.grid:
             table.add(record="grid", gamma=float(g), lambda_value=float(val))
         return table
@@ -451,7 +451,7 @@ def diagnose_gamma(L, l, beta, grid_points=25):
     descent-coefficient table over a log grid around the root."""
     gamma0 = max_step_size(L, l, beta)
     grid_gammas = np.geomspace(gamma0 * 1e-3, gamma0 * 10.0, grid_points)
-    grid = tuple((float(g), float(lambda_threshold(g, L, l, beta))) for g in grid_gammas)
+    grid = tuple((float(g), lambda_threshold(g, L, l, beta)) for g in grid_gammas)
     return GammaReport(gamma0=gamma0, recommended=0.99 * gamma0, grid=grid,
                        constants=(L, l, beta))
 

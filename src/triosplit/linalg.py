@@ -240,20 +240,8 @@ def masked_relative_residual(X, obs):
 
 
 def gram_spectral_norm(A):
-    """Largest eigenvalue of A^T A by power iteration from a fixed start,
-    stopped when successive estimates agree to 1e-12 relative or after
-    10000 products."""
+    """Largest eigenvalue of A^T A, i.e. ||A||_2^2, from a symmetric
+    eigendecomposition of the smaller of A A^T and A^T A."""
     A = as_matrix(A)
-    n = A.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(10000):
-        w = A.T @ (A @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= 1e-12 * nw:
-            return nw
-        lam = nw
-    return lam
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0

@@ -68,12 +68,13 @@ class GramSolver:
     mu = 1e-5, 1.3e-11 at 1e-4 and 1e-12 at 1e-3, and the relative
     normal-equation residual about 1e-9 at mu = 1e-5.
 
-    Only the latest mu is kept: a solve at another mu replaces its factor,
-    its inverse (and W), so a wide solver holds 2 m^2 + m * n floats beyond
-    A and A A^T (2 n^2 on the tall path). The solvers never return to an
-    earlier mu: dys_l12 only lowers gamma, and the multiplier methods keep
-    one rho. A solver instance is intended to be private to a single run;
-    concurrent runs should each own one.
+    Only what a solve reads is kept, for the latest mu only: W on the wide
+    path and L^-1 on the tall one. A solve at another mu replaces it, so a
+    wide solver holds m * n floats beyond A and A A^T (n^2 on the tall
+    path). The solvers never return to an earlier mu: dys_l12 only lowers
+    gamma, and the multiplier methods keep one rho. A solver instance is
+    intended to be private to a single run; concurrent runs should each own
+    one.
     """
 
     def __init__(self, A):
@@ -81,15 +82,14 @@ class GramSolver:
         m, n = self.A.shape
         self.wide = m < n
         self.gram = self.A @ self.A.T if self.wide else self.A.T @ self.A
-        self._cache = (None, None, None)  # (mu, (L, L^-1), whitened operator)
+        self._cache = (None, None)  # (mu, W on the wide path or L^-1 on the tall one)
 
     def _prepare(self, mu):
         if self._cache[0] != mu:
-            self._cache = (None, None, None)  # release the old arrays before building new ones
-            L = cho_factor(self.gram + mu * np.eye(self.gram.shape[0]))
-            Li = np.linalg.inv(L)
-            self._cache = (mu, (L, Li), self._whiten(Li, mu) if self.wide else None)
-        return self._cache
+            self._cache = (None, None)  # release the old operator before building a new one
+            Li = np.linalg.inv(cho_factor(self.gram + mu * np.eye(self.gram.shape[0])))
+            self._cache = (mu, self._whiten(Li, mu) if self.wide else Li)
+        return self._cache[1]
 
     def _whiten(self, Li, mu):
         # Q = L^-1 [A, sqrt(mu) I] = [W, sqrt(mu) L^-1] has orthonormal rows
@@ -108,10 +108,10 @@ class GramSolver:
     def solve(self, mu, rhs):
         if not 0 < mu < np.inf:
             raise ValueError("mu must be positive and finite")
-        _, (_, Li), W = self._prepare(mu)
+        op = self._prepare(mu)
         if self.wide:
-            return (rhs - W.T @ (W @ rhs)) / mu
-        return Li.T @ (Li @ rhs)
+            return (rhs - op.T @ (op @ rhs)) / mu
+        return op.T @ (op @ rhs)
 
 
 def prox_least_squares(A, b, x, gamma, solver=None):

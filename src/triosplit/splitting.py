@@ -11,9 +11,11 @@ With H = 0 this reduces to Douglas-Rachford splitting; with F = 0 it is
 forward-backward splitting. Along the iterates an energy function decreases
 by at least lambda_threshold(gamma) * ||y+ - y||^2 per step whenever that
 coefficient is positive, so the smallest positive root gamma0 of the
-coefficient bounds the admissible step sizes. The step-size policy here
-starts at a multiple of gamma0 and halves toward it whenever the iterates
-move too fast or grow too large.
+coefficient bounds the admissible step sizes. gamma times the coefficient
+is a cubic in gamma, so max_step_size returns gamma0 exactly, as that
+cubic's smallest positive root. The step-size policy here starts at a
+multiple of gamma0 and halves toward it whenever the iterates move too fast
+or grow too large.
 """
 
 from __future__ import annotations
@@ -212,53 +214,41 @@ def dys_step(problem, state, gamma):
     return SplittingState(x=x + (z1 - y1), y=y1, z=z1)
 
 
+def _descent_cubic(L, l, beta):
+    """Coefficients of gamma * lambda_threshold(gamma), highest power first.
+
+    The descent coefficient is
+    lambda(gamma) = (1/gamma - l)/2 - beta - (1/gamma + beta/2) * (2 gamma l + (1 + gamma L)^2 - 1),
+    so gamma * lambda(gamma) is a cubic. It is 0.5 at gamma = 0 and, for
+    L > 0 and beta >= 0, falls without bound, so it has a positive root.
+    """
+    if not L > 0:
+        raise ValueError("L must be positive")
+    if not beta >= 0:
+        raise ValueError("beta must be nonnegative")
+    return (-0.5 * beta * L * L, -(L * L + beta * (l + L)), -(2.5 * l + 2.0 * L + beta), 0.5)
+
+
 def lambda_threshold(gamma, L, l, beta):
     """Energy descent coefficient at step size gamma."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return (
-        0.5 * (1.0 / gamma - l)
-        - beta
-        - (1.0 / gamma + 0.5 * beta) * ((-1.0 + 2.0 * gamma * l) + (1.0 + gamma * L) ** 2)
-    )
+    return float(np.polyval(_descent_cubic(L, l, beta), gamma) / gamma)
 
 
 def max_step_size(L, l, beta):
-    """Smallest positive root of the descent coefficient, by bisection.
+    """Smallest positive root gamma0 of the descent coefficient, exactly.
 
-    The coefficient blows up to +inf as gamma -> 0, so a geometric scan from
-    1e-12 up to 1e3 locates the first sign change and bisection polishes it
-    until the coefficient is within 1e-10 of zero.
+    gamma0 is the smallest positive real root of the cubic
+    gamma * lambda(gamma). np.roots solves the reversed cubic, in 1/gamma,
+    whose leading coefficient is the constant 0.5; in gamma the leading
+    coefficient -beta L^2 / 2 can be tiny against the others, and the
+    companion matrix then loses the root (at beta = 1e-100 none is
+    positive). LAPACK returns a real eigenvalue with a zero imaginary part,
+    so the filter below is exact.
     """
-    gamma_min, gamma_max, value_tol = 1e-12, 1e3, 1e-10
-    lo = gamma_min
-    if lambda_threshold(lo, L, l, beta) <= 0:
-        raise RuntimeError("descent coefficient not positive at the scan origin")
-    hi = None
-    g = lo
-    while g < gamma_max:
-        g_next = g * 1.5
-        if lambda_threshold(g_next, L, l, beta) < 0:
-            hi = g_next
-            lo = g
-            break
-        g = g_next
-    if hi is None:
-        raise RuntimeError(f"no sign change of the descent coefficient in ({gamma_min}, {gamma_max}]")
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = lambda_threshold(mid, L, l, beta)
-        if abs(val) <= value_tol:
-            return mid
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
-    val = lambda_threshold(mid, L, l, beta)
-    if abs(val) <= value_tol:
-        return mid
-    raise RuntimeError(f"bisection stalled with coefficient {val:.3e} at gamma={mid!r}")
+    u = np.roots(_descent_cubic(L, l, beta)[::-1])
+    return float(1.0 / max(r.real for r in u if r.imag == 0 and r.real > 0))
 
 
 def energy(problem, state, gamma):

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triosplit
 from triosplit.cli import main
 from triosplit.experiments import ResultTable
 
@@ -20,12 +23,27 @@ class TestDiagnoseCommand:
         assert 0.14 <= float(root[1]) <= 0.16
 
     def test_console_script_entry(self, tmp_path):
+        # the subprocess imports the triosplit under test, installed or not
+        src = str(Path(triosplit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "report.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "triosplit.cli", "diagnose", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_root_above_the_old_scan_range(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["diagnose", "--L", "1e-4", "--l", "0", "--beta", "0", "--out", str(out)]) == 0
+        root = out.read_text().splitlines()[2].split(",")
+        assert root[0] == "root"
+        assert float(root[1]) == pytest.approx((6 ** 0.5 - 2) / 2e-4, rel=1e-14)
+
+    def test_constants_without_a_threshold_are_an_error(self, capsys):
+        assert main(["diagnose", "--L", "0", "--l", "0", "--beta", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: L must be positive")
 
 
 class TestMatcompCommand:

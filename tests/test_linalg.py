@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from triosplit.datagen import DctSpec, gen_dct_matrix
 from triosplit.linalg import (ObservationSet, TruncatedSvdError,
                               gram_spectral_norm, masked_relative_residual,
                               project_omega, truncated_svd)
@@ -236,3 +237,20 @@ def test_gram_spectral_norm_matches_dense():
     A = rng.standard_normal((30, 50))
     lam = gram_spectral_norm(A)
     assert lam == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-8)
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["5x6", "6x5"])
+def test_gram_spectral_norm_of_forward_difference(transpose):
+    # D 1 = 0, so a power iteration started at the constant vector sees only 0
+    D = np.diff(np.eye(6), axis=0)
+    assert gram_spectral_norm(D.T if transpose else D) == pytest.approx(2 + np.sqrt(3), rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(4, 7), (3, 0), (0, 3)])
+def test_gram_spectral_norm_of_zero_matrix(shape):
+    assert gram_spectral_norm(np.zeros(shape)) == 0.0
+
+
+def test_gram_spectral_norm_on_sensing_frame():
+    A = gen_dct_matrix(DctSpec(100, 1500, 10), seed=0)
+    assert gram_spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-13)

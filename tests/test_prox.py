@@ -219,10 +219,10 @@ class TestGramSolverAccuracy:
         for mu in (1e-3, 1e-4, 1e-3):
             rhs = rng.standard_normal(300)
             assert np.array_equal(solver.solve(mu, rhs), GramSolver(A).solve(mu, rhs))
-        # one m x m factor and one m x n operator, both for the latest step size
-        mu, (c, _), W = solver._cache
+        # one m x n operator, for the latest step size
+        mu, W = solver._cache
         assert mu == 1e-3
-        assert c.shape == (40, 40) and W.shape == (40, 300)
+        assert W.shape == (40, 300)
 
     @pytest.mark.parametrize("mu", [1e-5, 1e-4, 1e-3])
     @pytest.mark.parametrize("shape", [(100, 1500), (300, 40)], ids=["100x1500", "300x40"])

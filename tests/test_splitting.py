@@ -168,6 +168,27 @@ class TestMaxStepSize:
         for frac in (0.1, 0.5, 0.9, 0.99):
             assert lambda_threshold(frac * g0, 2.0, 0.5, 0.3) > 0
 
+    @pytest.mark.parametrize("L", [1e-4, 1e-3, 1.0, 22.7, 1e4])
+    def test_closed_form_without_weak_convexity_or_third_term(self, L):
+        # l = beta = 0 leaves 0.5 - 2 L gamma - L^2 gamma^2, whose positive
+        # root is (sqrt(6) - 2) / (2 L); L = 1e-4 puts it above 1e3
+        assert max_step_size(L, 0.0, 0.0) == pytest.approx((np.sqrt(6) - 2) / (2 * L), rel=1e-14)
+
+    @pytest.mark.parametrize("constants", [(1.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+                                           (2.0, 0.5, 0.3), (22.7, 0.0, 1.0),
+                                           # beta tiny against L: the cubic's
+                                           # leading coefficient nearly vanishes
+                                           (2652.3, 0.0, 2.97e-6), (1.0, 0.0, 1e-100)])
+    def test_root_brackets_the_sign_change(self, constants):
+        g0 = max_step_size(*constants)
+        assert lambda_threshold(g0 * (1 - 1e-12), *constants) > 0
+        assert lambda_threshold(g0 * (1 + 1e-12), *constants) < 0
+
+    @pytest.mark.parametrize("constants", [(0.0, 0.0, 0.0), (-1.0, 0.0, 1.0), (1.0, 0.0, -1.0)])
+    def test_constants_without_a_threshold_rejected(self, constants):
+        with pytest.raises(ValueError):
+            max_step_size(*constants)
+
 
 # ---------------------------------------------------------------------------
 # energy diagnostics
