@@ -13,7 +13,7 @@ from .experiments import (ExperimentConfig, PRESETS, ResultTable, build_config,
                           diagnose_gamma, run_experiment)
 from .linalg import (ObservationSet, SvdTriplet, SvdWarmStart,
                      TruncatedSvdError, gram_spectral_norm,
-                     masked_relative_residual, project_omega, truncated_svd)
+                     masked_relative_residual, truncated_svd)
 from .matcomp import (CompletionInstance, CompletionResult, drs_complete,
                       dys_complete, relative_error, rmse, svp_complete,
                       svt_complete)

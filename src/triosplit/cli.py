@@ -1,17 +1,22 @@
 """Command-line front end for the experiment suites.
 
 Exit codes: 0 on full success, 1 on configuration errors, 2 when any trial
-reported divergence.
+reported divergence, 141 (the shell's code for SIGPIPE) when the reader of
+standard output closed it before the table was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .datagen import save_observations
 from .experiments import ConfigError, PRESETS, build_config, run_experiment
 from .ratings import ingest_ratings
+
+
+CLOSED_PIPE = 141
 
 
 def _add_common(parser):
@@ -120,7 +125,14 @@ def main(argv=None):
     if out:
         table.write(out, fmt)
     else:
-        table.write(sys.stdout, fmt)
+        try:
+            table.write(sys.stdout, fmt)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone (`... | head -1`): send what is still
+            # buffered to devnull so the exit flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return CLOSED_PIPE
     return 2 if table.any_diverged else 0
 
 

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: masked projections and a truncated SVD."""
+"""Dense matrix kernels: observation sets, a masked residual and a truncated SVD."""
 
 from __future__ import annotations
 
@@ -80,25 +80,16 @@ class ObservationSet:
     def __len__(self):
         return len(self.values)
 
-    def scatter(self, values=None):
-        """Dense matrix holding ``values`` (default: the stored ones) at the
-        observed positions and zeros elsewhere."""
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.values if values is None else values
-        return out
-
-    def with_values(self, values):
-        return ObservationSet(self.rows, self.cols, values, self.shape)
-
 
 @dataclass(frozen=True)
 class SvdTriplet:
     """Leading singular triplet: U (m x k), S (k, nonincreasing), V (n x k).
 
     From the subspace path, ``basis`` is the n x p right basis the iteration
-    ended on, ordered by singular value (its first k columns are V), ready
-    to pass as the next call's ``start``, and ``sweeps`` counts the sweeps
-    the call made. The dense path sets neither (None and 0).
+    ended on, rotated onto its Ritz vectors and so ordered by singular value
+    (its first k columns are V), ready to pass as the next call's ``start``,
+    and ``sweeps`` counts the sweeps the call made. The dense path sets
+    neither (None and 0).
     """
 
     U: np.ndarray
@@ -116,13 +107,20 @@ class SvdWarmStart:
 
     A solver passes one instance to every SVD-based call it makes; each call
     starts from the ``basis`` the previous one ended on (``truncated_svd``'s
-    ``start``) and stores its own. It is per-run state, like
+    ``start``) and stores its own with ``keep``, which also adds the call's
+    sweeps to ``sweeps``, the run's total. It is per-run state, like
     ``prox.GramSolver``: a fresh instance repeats a run exactly, and
     concurrent runs each need their own.
     """
 
     def __init__(self):
         self.basis = None
+        self.sweeps = 0
+
+    def keep(self, t):
+        """Store the basis an SvdTriplet ended on and add its sweeps."""
+        self.basis = t.basis
+        self.sweeps += t.sweeps
 
 
 START_BLEND = 10.0  # weight of the Gaussian block in a warm start, in units of sqrt(tol)
@@ -138,11 +136,17 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     to the largest one between two sweeps.
 
     A sweep from an orthonormal right basis V (n x p) makes one product
-    each way: ``Q = qr(A V)``, ``B = Q^T A = Ub diag(s) Vb^T``, and ``Vb``,
-    which spans ``A^T Q``, is the next V; s are the estimates. A cold call
-    takes its basis from a seeded Gaussian block G (n x p) through one
-    half-step each way, ``V = qr(A^T qr(A G))``, so it sweeps exactly as the
-    classical iteration that orthonormalizes both ``A V`` and ``A^T Q``.
+    each way and reads the values from a p x p factor: ``Q = qr(A V)``,
+    ``V R = qr(A^T Q)``, and the singular values of R, which are those of
+    ``Q^T A = R^T V^T``, are the estimates. Once they settle, one SVD of R,
+    ``R = Ur diag(s) Vr^T``, rotates both bases onto the Ritz vectors:
+    ``V <- V Ur`` and ``U = Q Vr``. Both products are formed as the thin
+    factor times A or its transpose, ``(V^T A^T)^T`` and ``Q^T A``, the
+    faster order for the BLAS. A cold call takes its basis from a seeded
+    Gaussian block G (n x p) through one half-step each way,
+    ``V = qr(A^T qr(A G))``, so it sweeps exactly as the classical iteration
+    that orthonormalizes both ``A V`` and ``A^T Q`` and reads the values
+    from the SVD of ``Q^T A``.
 
     ``start`` (n x c), usually the ``basis`` returned by a call on a nearby
     matrix, replaces those half-steps: its first min(c, p) columns are
@@ -171,7 +175,7 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
         the dense path
 
     Returns an SvdTriplet; on the subspace path its ``basis`` is the final
-    V and ``sweeps`` the number of sweeps made.
+    rotated V and ``sweeps`` the number of sweeps made.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -186,7 +190,8 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     p = min(k + 8, min(m, n))
     G = np.random.default_rng(seed).standard_normal((n, p))
     if start is None:
-        V = np.linalg.qr(A.T @ np.linalg.qr(A @ G)[0])[0]
+        Q = np.linalg.qr((G.T @ A.T).T)[0]
+        V = np.linalg.qr((Q.T @ A).T)[0]
     else:
         start = as_matrix(start)
         if start.shape[0] != n:
@@ -198,30 +203,23 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     prev = None
     change = np.inf
     for sweep in range(1, max_sweeps + 1):
-        Q = np.linalg.qr(A @ V)[0]
-        Ub, s, Vt = np.linalg.svd(Q.T @ A, full_matrices=False)
-        V = Vt.T
-        top = s[:k]
+        Q = np.linalg.qr((V.T @ A.T).T)[0]
+        V, R = np.linalg.qr((Q.T @ A).T)
+        top = np.linalg.svd(R, compute_uv=False)[:k]
         if prev is not None:
             scale = max(top[0], np.finfo(float).tiny)
             change = np.max(np.abs(top - prev)) / scale
             if change < tol:
-                return SvdTriplet(Q @ Ub[:, :k], top.copy(), V[:, :k].copy(),
+                Ur, s, Vrt = np.linalg.svd(R)
+                V = V @ Ur
+                return SvdTriplet(Q @ Vrt[:k].T, s[:k].copy(), V[:, :k].copy(),
                                   basis=V, sweeps=sweep)
-        prev = top.copy()
+        prev = top
     raise TruncatedSvdError(
         f"singular values did not settle below {tol} in {max_sweeps} sweeps "
         f"(last change {change:.3e})",
         residual=change,
     )
-
-
-def project_omega(X, obs):
-    """Sample X at an observation set's positions (the masked projection)."""
-    X = as_matrix(X)
-    if X.shape != obs.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {obs.shape}")
-    return obs.with_values(X[obs.rows, obs.cols])
 
 
 def masked_relative_residual(X, obs):

@@ -68,6 +68,7 @@ class CompletionResult:
     status: str
     trace: RunTrace
     relative_error: Optional[float] = None
+    svd_sweeps: int = 0  # sweeps of the SVDs the run's SvdWarmStart kept (not energy checks)
 
 
 def default_masked_rule(max_iter=2000):
@@ -109,9 +110,8 @@ def _masked_metric(X, obs):
     return masked_relative_residual(X, obs)
 
 
-def _completion_problem(inst, lam, beta, with_energy):
+def _completion_problem(inst, lam, beta, with_energy, warm):
     obs, r = inst.obs, inst.r
-    warm = SvdWarmStart()  # one per run: each projection starts where the last ended
 
     def prox_f(X, g):
         return prox_masked_quadratic(X, obs, g)
@@ -138,7 +138,8 @@ def _engine_complete(inst, lam, beta, policy, gamma, rule, k, M_true, with_energ
         rule = default_masked_rule()
     if policy is None and gamma is None:
         policy = StepSizePolicy(gamma0=max_step_size(1.0, 0.0, beta), k=k)
-    problem = _completion_problem(inst, lam, beta, with_energy)
+    warm = SvdWarmStart()  # one per run: each projection starts where the last ended
+    problem = _completion_problem(inst, lam, beta, with_energy, warm)
     x0 = np.zeros(inst.shape)
     # the masked stop watches the rank-feasible iterate, the same estimate the
     # baselines test and the one reported as the solution
@@ -146,7 +147,8 @@ def _engine_complete(inst, lam, beta, policy, gamma, rule, k, M_true, with_energ
               stop_metric=lambda s: _masked_metric(s.z, inst.obs))
     err = relative_error(res.state.z, M_true) if M_true is not None else None
     return CompletionResult(X_opt=res.state.z, iterations=len(res.trace),
-                           status=res.status, trace=res.trace, relative_error=err)
+                            status=res.status, trace=res.trace, relative_error=err,
+                            svd_sweeps=warm.sweeps)
 
 
 def dys_complete(inst, policy=None, rule=None, gamma=None, beta=1.0,
@@ -207,7 +209,7 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
     (X,), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),), rule)
     err = relative_error(X, M_true) if M_true is not None else None
     return CompletionResult(X_opt=X, iterations=len(trace), status=status,
-                            trace=trace, relative_error=err)
+                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps)
 
 
 def shrink_singular_values(X, tau, start_k=4, warm=None):
@@ -225,7 +227,7 @@ def shrink_singular_values(X, tau, start_k=4, warm=None):
     k = min(max(int(start_k), 1), mindim)
     while True:
         t = truncated_svd(X, k, start=warm.basis)
-        warm.basis = t.basis
+        warm.keep(t)
         if t.S[-1] <= tau or k == mindim:
             break
         k = min(2 * k, mindim)
@@ -281,4 +283,4 @@ def svt_complete(inst, rule=None, tau=None, delta=None, M_true=None):
     (_, Y), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),) * 2, rule)
     err = relative_error(Y, M_true) if M_true is not None else None
     return CompletionResult(X_opt=Y, iterations=len(trace), status=status,
-                            trace=trace, relative_error=err)
+                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps)

@@ -26,7 +26,7 @@ def rank_projection(Y, r, warm=None):
     if warm is None:
         warm = SvdWarmStart()
     t = truncated_svd(Y, r, start=warm.basis)
-    warm.basis = t.basis
+    warm.keep(t)
     return t.reconstruct()
 
 

@@ -11,6 +11,13 @@ from triosplit.cli import main
 from triosplit.experiments import ResultTable
 
 
+def subprocess_env():
+    # the subprocess imports the triosplit under test, installed or not
+    src = str(Path(triosplit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestDiagnoseCommand:
     def test_writes_report(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -23,14 +30,10 @@ class TestDiagnoseCommand:
         assert 0.14 <= float(root[1]) <= 0.16
 
     def test_console_script_entry(self, tmp_path):
-        # the subprocess imports the triosplit under test, installed or not
-        src = str(Path(triosplit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "report.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "triosplit.cli", "diagnose", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0
         assert out.exists()
 
@@ -170,6 +173,20 @@ class TestExitCodes:
         code = main(["matcomp", "--n", "30", "--r", "2", "--trials", "1",
                      "--methods", "dys", "--out", str(tmp_path / "d.csv")])
         assert code == 2
+
+    def test_closed_reader_exits_141_quietly(self):
+        # the read end is closed before the CLI starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "triosplit.cli", "matcomp", "--n", "20", "--r", "2",
+                 "--p", "0.5", "--trials", "1", "--methods", "dys"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=subprocess_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     def test_stdout_when_no_out_path(self, capsys):
         code = main(["diagnose"])

@@ -4,7 +4,7 @@ import pytest
 from triosplit.datagen import DctSpec, gen_dct_matrix
 from triosplit.linalg import (ObservationSet, TruncatedSvdError,
                               gram_spectral_norm, masked_relative_residual,
-                              project_omega, truncated_svd)
+                              truncated_svd)
 
 from oracles import jacobi_svd, tail_norm, two_sided_subspace_sweeps
 
@@ -32,13 +32,6 @@ class TestObservationSet:
     def test_rejects_nonfinite_values(self):
         with pytest.raises(ValueError, match="finite"):
             ObservationSet([0], [0], [np.nan], (3, 3))
-
-    def test_scatter_extract_roundtrip(self):
-        rng = np.random.default_rng(1)
-        obs = random_obs(rng, 6, 5, 12)
-        dense = obs.scatter()
-        assert np.array_equal(dense[obs.rows, obs.cols], obs.values)
-        assert np.count_nonzero(dense) <= 12
 
 
 class TestTruncatedSvd:
@@ -166,51 +159,63 @@ class TestTruncatedSvdStart:
             truncated_svd(A, 4, dense_cutoff=0, start=t.basis[:60])
 
 
-class TestProjectOmega:
+class TestTruncatedSvdSweep:
+    TOL = 1e-10
+
+    @staticmethod
+    def check_factors(A, t, k):
+        # U^T A V is diag(S) up to rounding only once both bases are rotated
+        # onto the Ritz vectors of the final sweep
+        assert all(np.isfinite(f).all() for f in (t.U, t.S, t.V, t.basis))
+        for f in (t.U, t.V, t.basis):
+            assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
+        assert np.array_equal(t.basis[:, :k], t.V)
+        scale = max(t.S[0], 1.0)
+        assert np.max(np.abs(t.U.T @ A @ t.V - np.diag(t.S))) < 1e-12 * scale
+
+    @pytest.mark.parametrize("shape", [(70, 100), (100, 70), (80, 80)],
+                             ids=["wide", "tall", "square"])
+    def test_cold_call_matches_two_sided_iteration(self, shape):
+        A = np.random.default_rng(31).standard_normal(shape)
+        k = 5
+        t = truncated_svd(A, k, tol=self.TOL)
+        sweeps, _ = two_sided_subspace_sweeps(A, k, tol=self.TOL)
+        assert t.sweeps == sweeps
+        _, s_ref, _ = jacobi_svd(A)
+        assert np.max(np.abs(t.S - s_ref[:k])) < 10 * self.TOL * s_ref[0]
+        self.check_factors(A, t, k)
+
     def test_zero_matrix(self):
-        rng = np.random.default_rng(2)
-        obs = random_obs(rng, 5, 5, 7)
-        out = project_omega(np.zeros((5, 5)), obs)
-        assert np.array_equal(out.values, np.zeros(7))
+        A = np.zeros((80, 70))
+        t = truncated_svd(A, 4, tol=self.TOL, dense_cutoff=0)
+        assert np.array_equal(t.S, np.zeros(4))
+        self.check_factors(A, t, 4)
 
-    def test_full_observation_enumerates_matrix(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((4, 3))
-        r, c = np.meshgrid(np.arange(4), np.arange(3), indexing="ij")
-        obs = ObservationSet(r.ravel(), c.ravel(), np.zeros(12), (4, 3))
-        out = project_omega(X, obs)
-        assert np.array_equal(out.scatter(), X)
+    def test_rank_three_matrix_at_width_ten(self):
+        rng = np.random.default_rng(32)
+        A = rng.standard_normal((90, 3)) @ rng.standard_normal((3, 80))
+        t = truncated_svd(A, 10, tol=self.TOL, dense_cutoff=0)
+        s_ref = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(t.S - s_ref[:10])) < 10 * self.TOL * s_ref[0]
+        assert np.linalg.norm(A - t.reconstruct()) < 1e-10 * s_ref[0]
+        self.check_factors(A, t, 10)
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((10, 10))
-        obs = random_obs(rng, 10, 10, 30)
-        once = project_omega(X, obs)
-        twice = project_omega(once.scatter(), obs)
-        assert np.array_equal(once.values, twice.values)
-
-    def test_linear(self):
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((8, 9))
-        Y = rng.standard_normal((8, 9))
-        obs = random_obs(rng, 8, 9, 20)
-        a, b = 1.7, -0.3
-        lhs = project_omega(a * X + b * Y, obs).values
-        rhs = a * project_omega(X, obs).values + b * project_omega(Y, obs).values
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_shape_mismatch(self):
-        rng = np.random.default_rng(2)
-        obs = random_obs(rng, 5, 5, 7)
-        with pytest.raises(ValueError, match="mismatch"):
-            project_omega(np.zeros((4, 5)), obs)
+    def test_oversampled_width_above_small_dimension(self):
+        # k + 8 = 73 > 70, so the basis is square
+        A = np.random.default_rng(33).standard_normal((75, 70))
+        t = truncated_svd(A, 65, tol=self.TOL, dense_cutoff=0)
+        assert t.basis.shape == (70, 70)
+        s_ref = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(t.S - s_ref[:65])) < 10 * self.TOL * s_ref[0]
+        self.check_factors(A, t, 65)
 
 
 class TestMaskedRelativeResidual:
     def test_exact_fit_is_zero(self):
         rng = np.random.default_rng(13)
         X = rng.standard_normal((6, 6))
-        obs = project_omega(X, random_obs(rng, 6, 6, 9))
+        obs = random_obs(rng, 6, 6, 9)
+        obs = ObservationSet(obs.rows, obs.cols, X[obs.rows, obs.cols], obs.shape)
         assert masked_relative_residual(X, obs) == 0.0
 
     def test_zero_matrix_gives_one(self):
@@ -225,6 +230,12 @@ class TestMaskedRelativeResidual:
         num = np.sqrt(sum((X[r, c] - v) ** 2 for r, c, v in zip(obs.rows, obs.cols, obs.values)))
         den = np.sqrt(sum(v ** 2 for v in obs.values))
         assert masked_relative_residual(X, obs) == pytest.approx(num / den, rel=1e-13)
+
+    def test_shape_mismatch(self):
+        rng = np.random.default_rng(2)
+        obs = random_obs(rng, 5, 5, 7)
+        with pytest.raises(ValueError, match="mismatch"):
+            masked_relative_residual(np.zeros((4, 5)), obs)
 
     def test_zero_denominator_rejected(self):
         obs = ObservationSet([0, 1], [0, 1], [0.0, 0.0], (3, 3))

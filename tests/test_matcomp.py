@@ -3,7 +3,7 @@ import pytest
 
 from triosplit import linalg, matcomp, prox
 from triosplit.datagen import gen_low_rank, observe, sample_omega
-from triosplit.linalg import ObservationSet, masked_relative_residual
+from triosplit.linalg import ObservationSet, SvdWarmStart, masked_relative_residual
 from triosplit.matcomp import (CompletionInstance, default_masked_rule,
                                drs_complete, dys_complete, relative_error, rmse,
                                shrink_singular_values, svp_complete, svt_complete,
@@ -81,7 +81,7 @@ class TestDysComplete:
 
     def test_iterates_stay_rank_feasible_and_reuse_masked_prox(self, desk_instance):
         inst, _ = desk_instance
-        problem = _completion_problem(inst, inst.lam, 1.0, False)
+        problem = _completion_problem(inst, inst.lam, 1.0, False, SvdWarmStart())
         gamma = 0.12
         state = SplittingState(*[np.zeros(inst.shape)] * 3)
         for _ in range(5):
@@ -229,6 +229,13 @@ class TestWarmStart:
         assert warm.status == cold.status == CONVERGED
         assert warm.iterations == cold.iterations
         assert np.linalg.norm(warm.X_opt - cold.X_opt) <= 1e-6 * np.linalg.norm(cold.X_opt)
+
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
+    def test_result_counts_svd_sweeps(self, solver, tiny_instance, monkeypatch):
+        inst, M = tiny_instance
+        calls = SvdCalls(monkeypatch, cold=False)
+        res = solver(inst, M_true=M)
+        assert res.svd_sweeps == calls.sweeps > 0
 
     def test_warm_shrinkage_halves_svd_sweeps(self, tiny_instance, monkeypatch):
         inst, M = tiny_instance
