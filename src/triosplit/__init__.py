@@ -18,8 +18,7 @@ from .matcomp import (CompletionInstance, CompletionResult, drs_complete,
                       dys_complete, relative_error, rmse, svp_complete,
                       svt_complete)
 from .prox import (GramSolver, grad_frobenius_reg, grad_neg_l2,
-                   prox_least_squares, prox_masked_quadratic, rank_projection,
-                   soft_threshold)
+                   prox_masked_quadratic, rank_projection, soft_threshold)
 from .ratings import ingest_ratings, load_ratings, split_observations
 from .splitting import (RunResult, RunTrace, SplittingState, StepSizePolicy,
                         StoppingRule, ThreeTermProblem, adapt_gamma, check_stop,

@@ -1,8 +1,9 @@
 """Command-line front end for the experiment suites.
 
-Exit codes: 0 on full success, 1 on configuration errors, 2 when any trial
-reported divergence, 141 (the shell's code for SIGPIPE) when the reader of
-standard output closed it before the table was written.
+Exit codes: 0 on full success, 1 on configuration errors (a malformed
+command line among them), 2 when any trial reported divergence, 141 (the
+shell's code for SIGPIPE) when the reader of standard output closed it
+before the table was written.
 """
 
 from __future__ import annotations
@@ -28,8 +29,17 @@ def _add_common(parser):
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it exits 1: argparse's own
+    exit code, 2, is the code for a diverged trial. Subcommand parsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triosplit",
         description="Splitting-solver experiment runner for matrix completion and sparse recovery.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -42,7 +52,6 @@ def build_parser():
     mc.add_argument("--p", type=float, help="sampling ratio (synthetic)")
     mc.add_argument("--lam", type=float, help="quadratic tail weight")
     mc.add_argument("--k", dest="k_init", type=float, help="initial step multiplier")
-    mc.add_argument("--beta", type=float, help="smooth-term constant fed to the step threshold")
     mc.add_argument("--max-iter", dest="max_iter", type=int)
     mc.add_argument("--ratings", dest="ratings_path", metavar="PATH",
                     help="ratings file; switches to the held-out ratings task")
@@ -93,22 +102,20 @@ def _infer_task(args):
     return "cs_recovery"
 
 
+def _ingest(args):
+    train, test = ingest_ratings(args.path, args.split_seed, args.test_fraction)
+    save_observations(args.out + ".train.txt", train)
+    save_observations(args.out + ".test.txt", test)
+    print(f"train: {len(train)} entries -> {args.out}.train.txt")
+    print(f"test: {len(test)} entries -> {args.out}.test.txt")
+    return 0
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-
-    if args.command == "ingest":
-        try:
-            train, test = ingest_ratings(args.path, args.split_seed, args.test_fraction)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        save_observations(args.out + ".train.txt", train)
-        save_observations(args.out + ".test.txt", test)
-        print(f"train: {len(train)} entries -> {args.out}.train.txt")
-        print(f"test: {len(test)} entries -> {args.out}.test.txt")
-        return 0
-
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "ingest":
+            return _ingest(args)
         config = build_config(preset=args.preset, config_path=args.config,
                               overrides=_experiment_overrides(args),
                               base={"task": _infer_task(args)})

@@ -251,40 +251,35 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     return report.attach_metrics(inst.x_true)
 
 
-def dys_l12(inst, policy=None, rule=None, gamma=None, lam=None, k=DEFAULT_K,
-            with_energy=False):
+def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=False):
     """Three-operator splitting for the l1-minus-l2 model.
 
     The least-squares prox is solved through a cached factorization, the l1
     prox is a soft threshold at gamma*lam, and the concave term contributes
-    gamma*lam*y/||y|| inside the threshold argument. The default step-size
-    policy starts at k times the descent-coefficient root computed with the
-    measured top eigenvalue of A^T A (and unit smooth-term constant) and
-    decays per the engine heuristic. For lam > 0 that start is capped at
-    ||A^T b||_inf / lam, or gamma0 if that is larger, so the first
-    threshold level gamma*lam stays at or below ||A^T b||_inf, the smallest
-    l1 weight at which zero solves the convex l1 model. Without the cap a
-    noise-scaled weight (see noise_scaled_weight) put the first threshold
-    level hundreds of times above that data scale on the desk-scale cosine
-    frames; the iterates ran off to |y| of several hundred before the decay
-    heuristic lowered gamma, and the runs ended with relative errors in the
-    tens to hundreds. At small weights the cap lies above k * gamma0 and
-    changes nothing; lam = 0 keeps k * gamma0. Iterates whose norm falls
-    below 1e-12 are counted in the report's origin_hits, and beta_local
-    reports lam / min ||y|| as the locally valid smoothness constant.
+    gamma*lam*y/||y|| inside the threshold argument. The step-size root
+    gamma0 follows from the problem's constants: L = ||A||_2^2 (the measured
+    top eigenvalue of A^T A), l = 0, and beta = 1 by convention, because the
+    gradient of -lam*||y|| has no global Lipschitz constant (see beta_local
+    below). Without a fixed gamma, the step-size policy starts at k * gamma0
+    and decays per the engine heuristic. For lam > 0 that start is capped at
+    ||A^T b||_inf / lam, or gamma0 if that is larger, so the first threshold
+    level gamma*lam stays at or below ||A^T b||_inf, the smallest l1 weight
+    at which zero solves the convex l1 model. Without the cap a noise-scaled
+    weight (see noise_scaled_weight) put the first threshold level hundreds
+    of times above that data scale on the desk-scale cosine frames; the
+    iterates ran off to |y| of several hundred before the decay heuristic
+    lowered gamma, and the runs ended with relative errors in the tens to
+    hundreds. At small weights the cap lies above k * gamma0 and changes
+    nothing; lam = 0 keeps k * gamma0. Iterates whose norm falls below 1e-12
+    are counted in the report's origin_hits, and beta_local reports
+    lam / min ||y|| as the locally valid smoothness constant.
     """
     if rule is None:
         rule = StoppingRule()
     lam = _pick(lam, inst.lam, L12_LAMBDA)
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
-    L = max(gram_spectral_norm(inst.A), np.finfo(float).tiny)
     Atb = inst.A.T @ inst.b
-    if policy is None and gamma is None:
-        gamma0 = max_step_size(L, 0.0, 1.0)
-        if lam > 0:
-            k = min(k, max(1.0, float(np.max(np.abs(Atb))) / (lam * gamma0)))
-        policy = StepSizePolicy(gamma0=gamma0, k=k)
     solver = GramSolver(inst.A)
 
     def prox_f(v, g):
@@ -305,7 +300,14 @@ def dys_l12(inst, policy=None, rule=None, gamma=None, lam=None, k=DEFAULT_K,
             value_h=lambda y: -lam * float(np.linalg.norm(y)),
         )
     problem = ThreeTermProblem(prox_f=prox_f, prox_g=prox_g, grad_h=grad_h,
-                               L=L, l=0.0, beta=1.0, **values)
+                               L=max(gram_spectral_norm(inst.A), np.finfo(float).tiny),
+                               l=0.0, beta=1.0, **values)
+    policy = None
+    if gamma is None:
+        gamma0 = max_step_size(problem.L, problem.l, problem.beta)
+        if lam > 0:
+            k = min(k, max(1.0, float(np.max(np.abs(Atb))) / (lam * gamma0)))
+        policy = StepSizePolicy(gamma0=gamma0, k=k)
     res = run(problem, np.zeros(inst.n), gamma=gamma, policy=policy, rule=rule)
     y_norms = res.trace.column("y_norm")
     min_y = float(np.min(y_norms)) if len(y_norms) else float("nan")

@@ -61,10 +61,10 @@ class ExperimentConfig:
     # solver overrides
     k_init: Optional[float] = None
     max_iter: Optional[int] = None
-    beta: float = 1.0
-    # diagnose inputs
+    # diagnose inputs; each solver derives its own constants
     L: float = 1.0
     l: float = 0.0
+    beta: float = 1.0
     # output
     out: Optional[str] = None
     fmt: str = "csv"
@@ -325,7 +325,7 @@ def _run_matcomp_completion(method, inst, M_true, config, k_default):
     k = config.k_init if config.k_init is not None else k_default
     rule = None if config.max_iter is None else default_masked_rule(max_iter=config.max_iter)
     if method == "dys":
-        return mc_mod.dys_complete(inst, rule=rule, beta=config.beta, k=k, M_true=M_true)
+        return mc_mod.dys_complete(inst, rule=rule, k=k, M_true=M_true)
     if method == "drs":
         return mc_mod.drs_complete(inst, rule=rule, k=k, M_true=M_true)
     if method == "svp":

@@ -110,7 +110,10 @@ def _masked_metric(X, obs):
     return masked_relative_residual(X, obs)
 
 
-def _completion_problem(inst, lam, beta, with_energy, warm):
+def _completion_problem(inst, lam, with_energy, warm):
+    """The completion objective with tail weight lam: its masked misfit has a
+    1-Lipschitz gradient and is convex (L = 1, l = 0), and grad H = lam * X is
+    lam-Lipschitz (beta = lam)."""
     obs, r = inst.obs, inst.r
 
     def prox_f(X, g):
@@ -130,16 +133,17 @@ def _completion_problem(inst, lam, beta, with_energy, warm):
             value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)),
         )
     return ThreeTermProblem(prox_f=prox_f, prox_g=prox_g, grad_h=grad_h,
-                            L=1.0, l=0.0, beta=beta, **values)
+                            L=1.0, l=0.0, beta=lam, **values)
 
 
-def _engine_complete(inst, lam, beta, policy, gamma, rule, k, M_true, with_energy):
+def _engine_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     if rule is None:
         rule = default_masked_rule()
-    if policy is None and gamma is None:
-        policy = StepSizePolicy(gamma0=max_step_size(1.0, 0.0, beta), k=k)
     warm = SvdWarmStart()  # one per run: each projection starts where the last ended
-    problem = _completion_problem(inst, lam, beta, with_energy, warm)
+    problem = _completion_problem(inst, lam, with_energy, warm)
+    policy = None
+    if gamma is None:
+        policy = StepSizePolicy(gamma0=max_step_size(problem.L, problem.l, problem.beta), k=k)
     x0 = np.zeros(inst.shape)
     # the masked stop watches the rank-feasible iterate, the same estimate the
     # baselines test and the one reported as the solution
@@ -151,52 +155,46 @@ def _engine_complete(inst, lam, beta, policy, gamma, rule, k, M_true, with_energ
                             svd_sweeps=warm.sweeps)
 
 
-def dys_complete(inst, policy=None, rule=None, gamma=None, beta=1.0,
-                 k=DEFAULT_K, M_true=None, with_energy=False):
+def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
+                 with_energy=False):
     """Three-operator completion with the quadratic tail weight inst.lam.
 
-    The default step-size policy starts at k times the descent-coefficient
-    root for (L, l, beta) = (1, 0, beta) and decays per the engine's
-    heuristic; the stop is the masked relative residual of the rank-feasible
-    z iterate dropping below 1e-4, the same estimate the baselines test. The
-    returned matrix is that final z iterate. M_true, when given, is used only
-    to report the relative error.
+    Without a fixed gamma, the step-size policy starts at k times the
+    descent-coefficient root for the objective's own constants,
+    (L, l, beta) = (1, 0, inst.lam), and decays per the engine's heuristic;
+    the stop is the masked relative residual of the rank-feasible z iterate
+    dropping below 1e-4, the same estimate the baselines test. The returned
+    matrix is that final z iterate. M_true, when given, is used only to
+    report the relative error.
     """
-    return _engine_complete(inst, inst.lam, beta, policy, gamma, rule, k,
-                            M_true, with_energy)
+    return _engine_complete(inst, inst.lam, gamma, rule, k, M_true, with_energy)
 
 
-def drs_complete(inst, policy=None, rule=None, gamma=None, k=DEFAULT_K,
-                 M_true=None, with_energy=False):
-    """Douglas-Rachford completion: the lam = 0 case of dys_complete.
+def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
+                 with_energy=False):
+    """Douglas-Rachford completion: dys_complete at lam = 0.
 
-    The instance's lam is ignored; the step-size root is computed with
-    beta = 0 since the smooth term vanishes.
+    The instance's lam is ignored; with the smooth term gone, beta = 0
+    feeds the step-size root.
     """
-    return _engine_complete(inst, 0.0, 0.0, policy, gamma, rule, k,
-                            M_true, with_energy)
+    return _engine_complete(inst, 0.0, gamma, rule, k, M_true, with_energy)
 
 
 def svp_complete(inst, rule=None, eta=None, M_true=None):
     """Projected gradient baseline: gradient step on the mask, then rank
-    truncation. The default step schedule is 1 / (p * sqrt(t)); pass a float
-    or a callable t -> step to override."""
+    truncation. The default step schedule is 1 / (p * sqrt(t)); a float eta
+    fixes the step instead."""
     if rule is None:
         rule = default_masked_rule()
     obs, r, p = inst.obs, inst.r, inst.p
-    if eta is None:
-        step_at = lambda t: 1.0 / (p * math.sqrt(t))
-    elif callable(eta):
-        step_at = eta
-    else:
-        step_at = lambda t: float(eta)
+    eta = None if eta is None else float(eta)
     warm = SvdWarmStart()
     step = None
 
     def advance(state, t):
         nonlocal step
         (X,) = state
-        step = step_at(t)
+        step = 1.0 / (p * math.sqrt(t)) if eta is None else eta
         Y = X.copy()
         Y[obs.rows, obs.cols] -= step * (X[obs.rows, obs.cols] - obs.values)
         return (rank_projection(Y, r, warm=warm),)
@@ -250,21 +248,18 @@ def svt_step(X, obs, tau, delta, start_k=4, warm=None):
     return Y_new, X_new, rank
 
 
-def svt_complete(inst, rule=None, tau=None, delta=None, M_true=None):
+def svt_complete(inst, rule=None, M_true=None):
     """Singular-value shrinkage baseline.
 
     The primal estimate is the shrinkage of a dual matrix supported on the
-    mask; the dual then takes a scaled data-misfit step on the mask. Default
-    parameters are tau = 5 * max(shape) and delta = 1.2 / p. The rank of the
-    primal estimate is data-driven, not fixed in advance.
+    mask; the dual then takes a scaled data-misfit step on the mask. The
+    threshold is tau = 5 * max(shape) and the step delta = 1.2 / p. The rank
+    of the primal estimate is data-driven, not fixed in advance.
     """
     if rule is None:
         rule = default_masked_rule()
-    obs, p = inst.obs, inst.p
-    tau = 5.0 * max(inst.shape) if tau is None else float(tau)
-    delta = 1.2 / p if delta is None else float(delta)
-    if tau <= 0 or delta <= 0:
-        raise ValueError("tau and delta must be positive")
+    obs = inst.obs
+    tau, delta = 5.0 * max(inst.shape), 1.2 / inst.p
 
     warm = SvdWarmStart()  # each shrinkage starts its SVD where the last ended
     rank = 0

@@ -102,9 +102,6 @@ class GramSolver:
         L2 = np.linalg.cholesky(Wt.T @ Wt + mu * (Li @ Li.T))
         return (Wt @ np.linalg.inv(L2).T).T
 
-    def apply(self, mu, v):
-        return self.A.T @ (self.A @ v) + mu * v
-
     def solve(self, mu, rhs):
         if not 0 < mu < np.inf:
             raise ValueError("mu must be positive and finite")
@@ -112,22 +109,6 @@ class GramSolver:
         if self.wide:
             return (rhs - op.T @ (op @ rhs)) / mu
         return op.T @ (op @ rhs)
-
-
-def prox_least_squares(A, b, x, gamma, solver=None):
-    """Prox of 0.5 * ||A y - b||^2: solves (A^T A + I/gamma) y = A^T b + x/gamma.
-
-    Pass a GramSolver to reuse the factorization across iterations with the
-    same A and gamma. The system is positive definite for any finite
-    gamma > 0; a factorization failure therefore signals corrupted input and
-    surfaces as a LinAlgError.
-    """
-    if not 0 < gamma < np.inf:
-        raise ValueError("gamma must be positive and finite")
-    A = as_matrix(A)
-    if solver is None:
-        solver = GramSolver(A)
-    return solver.solve(1.0 / gamma, A.T @ np.asarray(b, float) + np.asarray(x, float) / gamma)
 
 
 def grad_frobenius_reg(X, lam):

@@ -311,7 +311,7 @@ def test_criterion_10_stationarity_certificates(matcomp_runs, cs_noiseless_runs)
             continue
         tr = res.trace
         gamma = tr.last.gamma
-        factor = 1.0 + 1.0 + 1.0 / gamma  # L = 1, beta = 1 for these runs
+        factor = 1.0 + 1.0 + 1.0 / gamma  # L = 1; beta = lam = 1.5e-6 counted as 1 (cancels in bound/scale)
         bound = factor * tr.last.zy_gap
         scale = factor * 1e-4 * np.linalg.norm(inst.obs.values)
         gaps = tr.column("zy_gap")

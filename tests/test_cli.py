@@ -160,6 +160,18 @@ class TestExitCodes:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["matcomp", "--bogus", "1"], ["matcomp", "--n", "abc"]],
+                             ids=["unknown-flag", "malformed-value"])
+    def test_usage_error_exits_one_not_two(self, argv, capsys):
+        assert main(argv) == 1  # argparse would exit 2, the diverged-trial code
+        assert capsys.readouterr().err.startswith("configuration error: triosplit")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["matcomp", "--help"])
+        assert exc.value.code == 0
+        assert "--methods" in capsys.readouterr().out
+
     def test_bad_config_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[wrong-section]\nkey = 1\n")

@@ -10,7 +10,7 @@ from triosplit.matcomp import (CompletionInstance, default_masked_rule,
                                svt_step)
 from triosplit.prox import prox_masked_quadratic
 from triosplit.splitting import (CONVERGED, SplittingState, StoppingRule,
-                                 dys_step)
+                                 dys_step, max_step_size)
 from triosplit.matcomp import _completion_problem
 
 
@@ -64,13 +64,21 @@ class TestDysComplete:
         assert res.iterations < 300
         assert masked_relative_residual(res.X_opt, inst.obs) < 1e-4
 
-    def test_zero_weight_matches_two_block_solver(self, desk_instance):
+    @pytest.mark.parametrize("gamma", [0.2, None], ids=["fixed-step", "default-policy"])
+    def test_zero_weight_matches_two_block_solver(self, desk_instance, gamma):
+        # at lam = 0 the smooth term and its constant beta vanish, so the
+        # default policy starts both solvers at the same step
         inst, M = desk_instance
         inst0 = CompletionInstance(inst.obs, inst.shape, inst.r, 0.0)
-        a = dys_complete(inst0, gamma=0.2, M_true=M)
-        b = drs_complete(inst0, gamma=0.2, M_true=M)
+        a = dys_complete(inst0, gamma=gamma, M_true=M)
+        b = drs_complete(inst0, gamma=gamma, M_true=M)
         assert a.iterations == b.iterations
         assert np.array_equal(a.X_opt, b.X_opt)
+
+    def test_step_starts_at_k_times_the_root_of_the_objectives_constants(self, desk_instance):
+        inst, _ = desk_instance
+        res = dys_complete(inst, rule=default_masked_rule(max_iter=1))
+        assert res.trace.column("gamma")[0] == matcomp.DEFAULT_K * max_step_size(1.0, 0.0, inst.lam)
 
     def test_energy_recording_on_request(self):
         inst, M = make_instance(30, 2, 0.6, 1e-6, seed=11)
@@ -81,7 +89,7 @@ class TestDysComplete:
 
     def test_iterates_stay_rank_feasible_and_reuse_masked_prox(self, desk_instance):
         inst, _ = desk_instance
-        problem = _completion_problem(inst, inst.lam, 1.0, False, SvdWarmStart())
+        problem = _completion_problem(inst, inst.lam, False, SvdWarmStart())
         gamma = 0.12
         state = SplittingState(*[np.zeros(inst.shape)] * 3)
         for _ in range(5):
