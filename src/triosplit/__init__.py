@@ -20,9 +20,9 @@ from .matcomp import (CompletionInstance, CompletionResult, drs_complete,
 from .prox import (GramSolver, grad_frobenius_reg, grad_neg_l2,
                    prox_masked_quadratic, rank_projection, soft_threshold)
 from .ratings import ingest_ratings, load_ratings, split_observations
-from .splitting import (RunResult, RunTrace, SplittingState, StepSizePolicy,
-                        StoppingRule, ThreeTermProblem, adapt_gamma, check_stop,
-                        dys_step, energy, lambda_threshold, max_step_size, run,
+from .splitting import (RunResult, RunTrace, SplittingState, StoppingRule,
+                        ThreeTermProblem, adapt_gamma, check_stop, dys_step,
+                        energy, lambda_threshold, max_step_size, run,
                         stationarity_bound)
 
 __version__ = "0.1.0"

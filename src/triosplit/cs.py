@@ -21,8 +21,8 @@ import numpy as np
 from .linalg import as_matrix, as_vector, gram_spectral_norm
 from .prox import GramSolver, grad_neg_l2, soft_threshold
 # the benchmark hooks run and check_stop here (check_stop is imported only for it)
-from .splitting import (CONVERGED, DIVERGED, MAX_ITER, RunTrace, SplittingState,
-                        StepSizePolicy, StoppingRule, ThreeTermProblem, _iterate,
+from .splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, RunTrace,
+                        SplittingState, StoppingRule, ThreeTermProblem, _iterate,
                         check_stop, max_step_size, run)
 
 SUCCESS_THRESHOLD = 1e-4
@@ -35,7 +35,6 @@ ADMM_RHO = 1e-5
 DCA_RHO = 1e-3
 DCA_OUTER_MAX = 10
 DCA_OUTER_TOL = 1e-2
-DEFAULT_K = 1e6
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,6 @@ class SensingInstance:
     A: np.ndarray
     b: np.ndarray
     x_true: Optional[np.ndarray] = None
-    lam: Optional[float] = None
-    rho: Optional[float] = None
 
     def __post_init__(self):
         A = as_matrix(self.A)
@@ -61,10 +58,6 @@ class SensingInstance:
             raise ValueError("measurement length differs from row count")
         if not np.any(b):
             raise ValueError("measurement vector must be nonzero")
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive when given")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive when given")
 
     @property
     def m(self):
@@ -187,8 +180,8 @@ def admm_lasso(inst, rule=None, lam=None, rho=None):
     """
     if rule is None:
         rule = StoppingRule()
-    lam = _pick(lam, inst.lam, ADMM_LAMBDA)
-    rho = _pick(rho, inst.rho, ADMM_RHO)
+    lam = ADMM_LAMBDA if lam is None else lam
+    rho = ADMM_RHO if rho is None else rho
     if not (lam >= 0 and rho > 0):
         raise ValueError("need lam >= 0 and rho > 0")
     res = _multiplier_loop(inst.A, inst.b, lam, rho, rule)
@@ -220,8 +213,8 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
         inner_rule = StoppingRule(max_iter=5000)
     if outer_max < 1:
         raise ValueError("outer_max must be at least 1")
-    lam = _pick(lam, inst.lam, L12_LAMBDA)
-    rho = _pick(rho, inst.rho, DCA_RHO)
+    lam = L12_LAMBDA if lam is None else lam
+    rho = DCA_RHO if rho is None else rho
     if not (lam >= 0 and rho > 0):
         raise ValueError("need lam >= 0 and rho > 0")
     solver = GramSolver(inst.A)
@@ -256,27 +249,28 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
 
     The least-squares prox is solved through a cached factorization, the l1
     prox is a soft threshold at gamma*lam, and the concave term contributes
-    gamma*lam*y/||y|| inside the threshold argument. The step-size root
-    gamma0 follows from the problem's constants: L = ||A||_2^2 (the measured
-    top eigenvalue of A^T A), l = 0, and beta = 1 by convention, because the
-    gradient of -lam*||y|| has no global Lipschitz constant (see beta_local
-    below). Without a fixed gamma, the step-size policy starts at k * gamma0
-    and decays per the engine heuristic. For lam > 0 that start is capped at
-    ||A^T b||_inf / lam, or gamma0 if that is larger, so the first threshold
-    level gamma*lam stays at or below ||A^T b||_inf, the smallest l1 weight
-    at which zero solves the convex l1 model. Without the cap a noise-scaled
-    weight (see noise_scaled_weight) put the first threshold level hundreds
-    of times above that data scale on the desk-scale cosine frames; the
-    iterates ran off to |y| of several hundred before the decay heuristic
-    lowered gamma, and the runs ended with relative errors in the tens to
-    hundreds. At small weights the cap lies above k * gamma0 and changes
-    nothing; lam = 0 keeps k * gamma0. Iterates whose norm falls below 1e-12
-    are counted in the report's origin_hits, and beta_local reports
+    gamma*lam*y/||y|| inside the threshold argument. The engine (run) derives
+    the step-size root gamma0 from the problem's constants: L = ||A||_2^2 (the
+    measured top eigenvalue of A^T A), l = 0, and beta = 1 by convention,
+    because the gradient of -lam*||y|| has no global Lipschitz constant (see
+    beta_local below). A fixed gamma ignores k. Without one, the run starts at
+    k * gamma0 and decays per the engine heuristic. For lam > 0 that start is
+    capped at ||A^T b||_inf / lam, or gamma0 if that is larger, by lowering k
+    before the run; dys_l12 computes gamma0 only for this cap. The first
+    threshold level gamma*lam so stays at or below ||A^T b||_inf, the smallest
+    l1 weight at which zero solves the convex l1 model. Without the cap a
+    noise-scaled weight (see noise_scaled_weight) put the first threshold
+    level hundreds of times above that data scale on the desk-scale cosine
+    frames; the iterates ran off to |y| of several hundred before the decay
+    heuristic lowered gamma, and the runs ended with relative errors in the
+    tens to hundreds. At small weights the cap lies above k * gamma0 and
+    changes nothing; lam = 0 keeps k * gamma0. Iterates whose norm falls below
+    1e-12 are counted in the report's origin_hits, and beta_local reports
     lam / min ||y|| as the locally valid smoothness constant.
     """
     if rule is None:
         rule = StoppingRule()
-    lam = _pick(lam, inst.lam, L12_LAMBDA)
+    lam = L12_LAMBDA if lam is None else lam
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")
     Atb = inst.A.T @ inst.b
@@ -302,13 +296,12 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
     problem = ThreeTermProblem(prox_f=prox_f, prox_g=prox_g, grad_h=grad_h,
                                L=max(gram_spectral_norm(inst.A), np.finfo(float).tiny),
                                l=0.0, beta=1.0, **values)
-    policy = None
-    if gamma is None:
+    if gamma is not None:
+        k = None
+    elif lam > 0:
         gamma0 = max_step_size(problem.L, problem.l, problem.beta)
-        if lam > 0:
-            k = min(k, max(1.0, float(np.max(np.abs(Atb))) / (lam * gamma0)))
-        policy = StepSizePolicy(gamma0=gamma0, k=k)
-    res = run(problem, np.zeros(inst.n), gamma=gamma, policy=policy, rule=rule)
+        k = min(k, max(1.0, float(np.max(np.abs(Atb))) / (lam * gamma0)))
+    res = run(problem, np.zeros(inst.n), gamma=gamma, k=k, rule=rule)
     y_norms = res.trace.column("y_norm")
     min_y = float(np.min(y_norms)) if len(y_norms) else float("nan")
     final_gamma = res.trace.last.gamma if len(res.trace) else float("nan")
@@ -321,10 +314,3 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
         trace=res.trace,
     )
     return report.attach_metrics(inst.x_true)
-
-
-def _pick(*candidates):
-    for c in candidates:
-        if c is not None:
-            return c
-    return None

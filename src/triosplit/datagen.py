@@ -142,7 +142,7 @@ def add_noise(b, sigma, seed):
 # ---------------------------------------------------------------------------
 # text serialization (header + whitespace-separated values, round-trip exact)
 
-_MAGIC = "triosplit-instance v1"
+_MAGIC = "triosplit-instance v2"
 _OBS_MAGIC = "triosplit-observations v1"
 
 
@@ -186,13 +186,15 @@ def load_observations(path):
 def save_instance(path, inst):
     """Write a completion or sensing instance as plain text.
 
-    Layout: a magic line, then `kind completion|sensing`, then key/value
-    header lines, then whitespace-separated data. Completion instances list
-    `shape R C`, `rank`, `lam`, `count`, and one `row col value` line per
-    observed entry; sensing instances list `shape M N`, `lam`, `rho` (the
-    literal `none` when unset), `has_truth`, then M rows of the matrix, the
-    measurement line, and the ground-truth line when present. Floats are
-    written with full round-trip precision.
+    Layout (v2): a magic line `triosplit-instance v2`, then
+    `kind completion|sensing`, then key/value header lines, then
+    whitespace-separated data. Completion instances list `shape R C`,
+    `rank`, `lam`, `count`, and one `row col value` line per observed entry;
+    sensing instances list `shape M N` and `has_truth`, then M rows of the
+    matrix, the measurement line, and the ground-truth line when present.
+    Sensing weights are solver arguments, not instance data, so v2 drops the
+    v1 sensing `lam` and `rho` lines; load_instance rejects a v1 file as not
+    an instance file. Floats are written with full round-trip precision.
     """
     with open(path, "w") as f:
         f.write(_MAGIC + "\n")
@@ -206,8 +208,6 @@ def save_instance(path, inst):
         elif isinstance(inst, SensingInstance):
             f.write("kind sensing\n")
             f.write(f"shape {inst.m} {inst.n}\n")
-            f.write(f"lam {'none' if inst.lam is None else _fmt(inst.lam)}\n")
-            f.write(f"rho {'none' if inst.rho is None else _fmt(inst.rho)}\n")
             f.write(f"has_truth {0 if inst.x_true is None else 1}\n")
             for row in inst.A:
                 f.write(" ".join(_fmt(v) for v in row) + "\n")
@@ -233,14 +233,9 @@ def load_instance(path):
         if kind == "sensing":
             _, m, n = f.readline().split()
             m, n = int(m), int(n)
-            lam_tok = f.readline().split()[1]
-            rho_tok = f.readline().split()[1]
             has_truth = bool(int(f.readline().split()[1]))
             A = np.array([[float(v) for v in f.readline().split()] for _ in range(m)])
             b = np.array([float(v) for v in f.readline().split()])
             x_true = np.array([float(v) for v in f.readline().split()]) if has_truth else None
-            return SensingInstance(
-                A, b, x_true=x_true,
-                lam=None if lam_tok == "none" else float(lam_tok),
-                rho=None if rho_tok == "none" else float(rho_tok))
+            return SensingInstance(A, b, x_true=x_true)
         raise ValueError(f"{path}: unknown instance kind {kind!r}")

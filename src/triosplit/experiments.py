@@ -24,8 +24,8 @@ from .datagen import DctSpec, add_noise, gen_dct_matrix, gen_low_rank, gen_spars
 from .linalg import masked_relative_residual
 from .matcomp import CompletionInstance, default_masked_rule, rmse
 from .ratings import load_ratings, split_observations
-from .splitting import (CONVERGED, DIVERGED, StoppingRule, lambda_threshold,
-                        max_step_size)
+from .splitting import (CONVERGED, DEFAULT_STEP_FRACTION, DIVERGED, StoppingRule,
+                        lambda_threshold, max_step_size)
 
 TASKS = ("matcomp_synth", "matcomp_ratings", "cs_recovery", "cs_noise", "diagnose")
 MATCOMP_METHODS = ("dys", "drs", "svp", "svt")
@@ -160,6 +160,10 @@ def build_config(preset=None, config_path=None, overrides=None, base=None):
     unknown = set(merged) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
+    task = merged.get("task", ExperimentConfig.task)
+    for key in ("L", "l", "beta"):
+        if key in merged and task != "diagnose":
+            raise ConfigError(f"configuration key {key!r} is read only by the diagnose task, not {task}")
     try:
         return ExperimentConfig(**merged)
     except (TypeError, ValueError) as exc:
@@ -321,13 +325,14 @@ def _add_aggregate(table, shared, cell, succeeded=_converged, error="rel_error",
     table.add(record="aggregate", success_rate=float(np.mean(wins)), **shared, **cell, **stats)
 
 
-def _run_matcomp_completion(method, inst, M_true, config, k_default):
-    k = config.k_init if config.k_init is not None else k_default
+def _run_matcomp_completion(method, inst, M_true, config, k_default=None):
     rule = None if config.max_iter is None else default_masked_rule(max_iter=config.max_iter)
+    k = config.k_init if config.k_init is not None else k_default
+    start = {} if k is None else {"k": k}  # else the solver's default start multiplier
     if method == "dys":
-        return mc_mod.dys_complete(inst, rule=rule, k=k, M_true=M_true)
+        return mc_mod.dys_complete(inst, rule=rule, M_true=M_true, **start)
     if method == "drs":
-        return mc_mod.drs_complete(inst, rule=rule, k=k, M_true=M_true)
+        return mc_mod.drs_complete(inst, rule=rule, M_true=M_true, **start)
     if method == "svp":
         return mc_mod.svp_complete(inst, rule=rule, M_true=M_true)
     if method == "svt":
@@ -348,7 +353,7 @@ def _run_matcomp_synth(config):
         ridx, cidx = sample_omega(n, n, m_count, rng)
         inst = CompletionInstance(observe(M, ridx, cidx), (n, n), r, lam)
         for method in config.methods:
-            res = _run_matcomp_completion(method, inst, M, config, mc_mod.DEFAULT_K)
+            res = _run_matcomp_completion(method, inst, M, config)
             table.add(record="trial", method=method, seed=seed, iterations=res.iterations,
                       rel_error=res.relative_error, status=res.status, **shared)
     for method in config.methods:
@@ -390,8 +395,8 @@ def _run_cs_method(method, inst, config):
     if method == "dca":
         return cs_mod.dca_l12(inst, inner_rule=rule, lam=config.lam)
     if method == "dys":
-        k = config.k_init if config.k_init is not None else cs_mod.DEFAULT_K
-        return cs_mod.dys_l12(inst, rule=rule, lam=config.lam, k=k)
+        start = {} if config.k_init is None else {"k": config.k_init}
+        return cs_mod.dys_l12(inst, rule=rule, lam=config.lam, **start)
     raise ConfigError(f"unknown sensing method {method!r}")
 
 
@@ -428,33 +433,20 @@ def _run_cs(config):
     return table
 
 
-@dataclass(frozen=True)
-class GammaReport:
-    gamma0: float
-    recommended: float
-    grid: tuple
-    constants: tuple = (1.0, 0.0, 1.0)
-
-    def to_table(self):
-        table = ResultTable("diagnose.v1", DIAGNOSE_COLUMNS)
-        table.add(record="root", gamma=self.gamma0,
-                  lambda_value=lambda_threshold(self.gamma0, *self.constants))
-        table.add(record="recommended", gamma=self.recommended,
-                  lambda_value=lambda_threshold(self.recommended, *self.constants))
-        for g, val in self.grid:
-            table.add(record="grid", gamma=float(g), lambda_value=float(val))
-        return table
-
-
 def diagnose_gamma(L, l, beta, grid_points=25):
-    """Step-size report: threshold root, recommended fixed step, and a
-    descent-coefficient table over a log grid around the root."""
+    """Step-size report as a diagnose.v1 table: the threshold root, the
+    recommended fixed step (run's default, DEFAULT_STEP_FRACTION * gamma0),
+    and the descent coefficient over a log grid around the root."""
     gamma0 = max_step_size(L, l, beta)
-    grid_gammas = np.geomspace(gamma0 * 1e-3, gamma0 * 10.0, grid_points)
-    grid = tuple((float(g), lambda_threshold(g, L, l, beta)) for g in grid_gammas)
-    return GammaReport(gamma0=gamma0, recommended=0.99 * gamma0, grid=grid,
-                       constants=(L, l, beta))
+    recommended = DEFAULT_STEP_FRACTION * gamma0
+    table = ResultTable("diagnose.v1", DIAGNOSE_COLUMNS)
+    table.add(record="root", gamma=gamma0, lambda_value=lambda_threshold(gamma0, L, l, beta))
+    table.add(record="recommended", gamma=recommended,
+              lambda_value=lambda_threshold(recommended, L, l, beta))
+    for g in np.geomspace(gamma0 * 1e-3, gamma0 * 10.0, grid_points):
+        table.add(record="grid", gamma=float(g), lambda_value=lambda_threshold(g, L, l, beta))
+    return table
 
 
 def _run_diagnose(config):
-    return diagnose_gamma(config.L, config.l, config.beta).to_table()
+    return diagnose_gamma(config.L, config.l, config.beta)

@@ -25,12 +25,10 @@ from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
                      masked_relative_residual, truncated_svd)
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
 # the benchmark hooks run and check_stop here (check_stop is imported only for it)
-from .splitting import (RunTrace, StepSizePolicy, StoppingRule,
-                        ThreeTermProblem, _iterate, check_stop,
-                        max_step_size, run)
+from .splitting import (DEFAULT_K, RunTrace, StoppingRule, ThreeTermProblem,
+                        _iterate, check_stop, run)
 
 DEFAULT_LAMBDA = 1.5e-6
-DEFAULT_K = 1e6
 MASKED_TOL = 1e-4
 RANK_FEASIBILITY_RATIO = 1e-8
 
@@ -141,13 +139,10 @@ def _engine_complete(inst, lam, gamma, rule, k, M_true, with_energy):
         rule = default_masked_rule()
     warm = SvdWarmStart()  # one per run: each projection starts where the last ended
     problem = _completion_problem(inst, lam, with_energy, warm)
-    policy = None
-    if gamma is None:
-        policy = StepSizePolicy(gamma0=max_step_size(problem.L, problem.l, problem.beta), k=k)
     x0 = np.zeros(inst.shape)
     # the masked stop watches the rank-feasible iterate, the same estimate the
     # baselines test and the one reported as the solution
-    res = run(problem, x0, gamma=gamma, policy=policy, rule=rule,
+    res = run(problem, x0, gamma=gamma, k=None if gamma is not None else k, rule=rule,
               stop_metric=lambda s: _masked_metric(s.z, inst.obs))
     err = relative_error(res.state.z, M_true) if M_true is not None else None
     return CompletionResult(X_opt=res.state.z, iterations=len(res.trace),
@@ -159,9 +154,9 @@ def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
                  with_energy=False):
     """Three-operator completion with the quadratic tail weight inst.lam.
 
-    Without a fixed gamma, the step-size policy starts at k times the
-    descent-coefficient root for the objective's own constants,
-    (L, l, beta) = (1, 0, inst.lam), and decays per the engine's heuristic;
+    A fixed gamma ignores k. Without one, the engine's step-size policy
+    starts at k times the descent-coefficient root for the objective's own
+    constants, (L, l, beta) = (1, 0, inst.lam), and decays toward it;
     the stop is the masked relative residual of the rank-feasible z iterate
     dropping below 1e-4, the same estimate the baselines test. The returned
     matrix is that final z iterate. M_true, when given, is used only to

@@ -13,9 +13,9 @@ by at least lambda_threshold(gamma) * ||y+ - y||^2 per step whenever that
 coefficient is positive, so the smallest positive root gamma0 of the
 coefficient bounds the admissible step sizes. gamma times the coefficient
 is a cubic in gamma, so max_step_size returns gamma0 exactly, as that
-cubic's smallest positive root. The step-size policy here starts at a
-multiple of gamma0 and halves toward it whenever the iterates move too fast
-or grow too large.
+cubic's smallest positive root. run derives gamma0 from the problem's own
+constants; its step-size policy starts at a multiple k of gamma0 and halves
+toward it whenever the iterates move too fast or grow too large.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 DIVERGED = "diverged"
 
-DECAY_FLOOR = 0.9999       # a decay never goes below DECAY_FLOOR * gamma0
-DIVERGENCE_SPEED = 1000.0  # a y-step above DIVERGENCE_SPEED / t is fast motion
-MAGNITUDE_CAP = 1e10       # an iterate entry above MAGNITUDE_CAP is too large
+DEFAULT_STEP_FRACTION = 0.99  # run's fixed step without gamma or k: this fraction of gamma0
+DEFAULT_K = 1e6               # the solvers' start multiplier k: the policy starts at k * gamma0
+DECAY_FLOOR = 0.9999          # a decay never goes below DECAY_FLOOR * gamma0
+DIVERGENCE_SPEED = 1000.0     # a y-step above DIVERGENCE_SPEED / t is fast motion
+MAGNITUDE_CAP = 1e10          # an iterate entry above MAGNITUDE_CAP is too large
 
 
 class DiagnosticsUnavailable(RuntimeError):
@@ -84,28 +86,6 @@ class ThreeTermProblem:
     @property
     def has_values(self):
         return None not in (self.value_f, self.value_g, self.value_h)
-
-
-@dataclass(frozen=True)
-class StepSizePolicy:
-    """Adaptive step-size heuristic.
-
-    The run starts at k * gamma0 and, while gamma > gamma0, replaces it by
-    max(gamma/2, DECAY_FLOOR * gamma0) whenever the latest y-step exceeds
-    DIVERGENCE_SPEED / t or the iterate magnitude exceeds MAGNITUDE_CAP.
-    """
-
-    gamma0: float
-    k: float = 1.0
-
-    def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError("gamma0 must be positive")
-        if not self.k >= 1:
-            raise ValueError("k must be at least 1")
-
-    def initial_gamma(self):
-        return self.k * self.gamma0
 
 
 @dataclass(frozen=True)
@@ -185,6 +165,8 @@ class RunTrace:
             with open(f, "w") as handle:
                 return self.to_csv(handle)
         f.write(",".join(self.CSV_COLUMNS) + "\n")
+        if self._len == 0:  # a run that diverged on its first step
+            return
         cols = [self._names.index(name) if name in self._names else None
                 for name in ("t",) + self.CSV_COLUMNS[1:]]
         for row in self._data[:self._len]:
@@ -271,14 +253,19 @@ def energy(problem, state, gamma):
     return base + q_plus - q_minus - gap
 
 
-def adapt_gamma(policy, gamma, row):
-    """Next step size under the decay heuristic, given the latest trace row."""
-    if gamma <= policy.gamma0:
+def adapt_gamma(gamma0, gamma, row):
+    """Next step size under the decay heuristic, given the latest trace row.
+
+    While gamma > gamma0, it is replaced by max(gamma/2, DECAY_FLOOR * gamma0)
+    whenever the row's y-step exceeds DIVERGENCE_SPEED / t or its iterate
+    magnitude exceeds MAGNITUDE_CAP.
+    """
+    if gamma <= gamma0:
         return gamma
     fast = row.dy_norm > DIVERGENCE_SPEED / row.t
     large = row.y_inf > MAGNITUDE_CAP
     if fast or large:
-        return max(gamma / 2.0, DECAY_FLOOR * policy.gamma0)
+        return max(gamma / 2.0, DECAY_FLOOR * gamma0)
     return gamma
 
 
@@ -308,16 +295,20 @@ def stationarity_bound(state, gamma, L, beta):
     return (L + beta + 1.0 / gamma) * np.linalg.norm(state.z - state.y)
 
 
-def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
+def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
     """Drive the splitting iteration until a stopping rule fires.
+
+    The step-size root gamma0 = max_step_size(problem.L, problem.l,
+    problem.beta) comes from the problem's own constants.
 
     Parameters
     ----------
     problem : ThreeTermProblem
     x0 : array, starting point
-    gamma : float, fixed step size; defaults to 0.99 * gamma0 when neither
-        gamma nor policy is given
-    policy : StepSizePolicy, adaptive step sizes (mutually exclusive with gamma)
+    gamma : float, fixed step size; with neither gamma nor k the step is
+        fixed at DEFAULT_STEP_FRACTION * gamma0 (0.99 * gamma0)
+    k : float >= 1, adaptive step sizes: the run starts at k * gamma0 and
+        decays toward gamma0 per adapt_gamma (mutually exclusive with gamma)
     rule : StoppingRule, defaults to StoppingRule()
     stop_metric : callable state -> float, recorded each iteration; when
         given, the run stops on it instead of the residual pair (see
@@ -332,18 +323,21 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
     with the last finite state. An oracle that raises, or returns a y or z
     whose shape differs from x's, raises OracleError naming the iteration.
     """
-    if gamma is not None and policy is not None:
-        raise ValueError("pass either gamma or policy, not both")
+    if gamma is not None and k is not None:
+        raise ValueError("pass either gamma or k, not both")
+    if k is not None and not k >= 1:
+        raise ValueError("k must be at least 1")
     if rule is None:
         rule = StoppingRule()
     record_energy = problem.has_values
 
-    if policy is not None:
-        cur_gamma = policy.initial_gamma()
+    gamma0 = max_step_size(problem.L, problem.l, problem.beta)
+    if k is not None:
+        cur_gamma = k * gamma0
     elif gamma is not None:
         cur_gamma = gamma
     else:
-        cur_gamma = 0.99 * max_step_size(problem.L, problem.l, problem.beta)
+        cur_gamma = DEFAULT_STEP_FRACTION * gamma0
 
     x0 = np.asarray(x0, dtype=float)
     start = SplittingState(x0, x0, x0)
@@ -366,8 +360,8 @@ def run(problem, x0, gamma=None, policy=None, rule=None, stop_metric=None):
             row.energy = float(energy(problem, new, cur_gamma))
         if stop_metric is not None:
             row.stop_metric = float(stop_metric(new))
-        if policy is not None:  # the step size of the next iteration
-            cur_gamma = adapt_gamma(policy, cur_gamma, row)
+        if k is not None:  # the step size of the next iteration
+            cur_gamma = adapt_gamma(gamma0, cur_gamma, row)
         return row
 
     return _iterate(advance, measure, start, rule)

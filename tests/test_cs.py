@@ -6,9 +6,10 @@ from triosplit.cs import (SPARSITY_TRUNCATION, SensingInstance, _multiplier_loop
                           admm_lasso, dca_l12, dys_l12, evaluate,
                           noise_scaled_weight, truncated_sparsity)
 from triosplit.datagen import DctSpec, gen_dct_matrix, gen_sparse_signal
+from triosplit.linalg import gram_spectral_norm
 from triosplit.prox import GramSolver, grad_neg_l2, soft_threshold
-from triosplit.splitting import (CONVERGED, DIVERGED, MAX_ITER, RunResult,
-                                 SplittingState, StoppingRule)
+from triosplit.splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, RunResult,
+                                 SplittingState, StoppingRule, max_step_size)
 
 from oracles import ista_lasso
 
@@ -54,6 +55,11 @@ class TestSensingInstance:
             SensingInstance(np.eye(3), np.ones(4))
         with pytest.raises(ValueError, match="ground truth"):
             SensingInstance(np.eye(3), np.ones(3), x_true=np.ones(5))
+
+    @pytest.mark.parametrize("weight", ["lam", "rho"])
+    def test_weights_are_solver_arguments_only(self, weight):
+        with pytest.raises(TypeError):
+            SensingInstance(np.eye(3), np.ones(3), **{weight: 1e-5})
 
 
 class TestEvaluate:
@@ -287,6 +293,23 @@ class TestDysL12:
         found = np.flatnonzero(np.abs(rep.x_opt) >= SPARSITY_TRUNCATION)
         assert np.array_equal(found, np.flatnonzero(inst.x_true))
         assert rep.relative_error < 0.1
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["default-weight", "noise-scaled-weight"])
+    def test_start_step_is_k_times_root_capped_at_the_data_scale(self, noisy):
+        # first gamma = min(k * gamma0, max(gamma0, ||A^T b||_inf / lam)), with
+        # gamma0 the root of the problem's constants (||A||_2^2, 0, 1)
+        rng = np.random.default_rng(2)
+        sigma = 0.01
+        inst = dct_instance(rng, m=40, n=300, s=3, F=5, sigma=sigma if noisy else 0.0)
+        lam = noise_scaled_weight(inst.A, sigma) if noisy else cs.L12_LAMBDA
+        rep = dys_l12(inst, lam=lam, rule=StoppingRule(max_iter=1))
+        gamma0 = max_step_size(gram_spectral_norm(inst.A), 0.0, 1.0)
+        cap = max(gamma0, np.max(np.abs(inst.A.T @ inst.b)) / lam)
+        assert (cap < DEFAULT_K * gamma0) == noisy  # the cap binds only at the noise-scaled weight
+        first = rep.trace.column("gamma")[0]
+        assert first == pytest.approx(min(DEFAULT_K * gamma0, cap), rel=1e-13)
+        if not noisy:
+            assert first == DEFAULT_K * gamma0
 
     def test_threshold_iterates_are_exact_shrinkage_outputs(self):
         rng = np.random.default_rng(10)

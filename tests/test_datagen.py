@@ -180,15 +180,15 @@ class TestSerialization:
         A = rng.standard_normal((4, 9))
         x = np.zeros(9)
         x[2] = 1.3
-        inst = SensingInstance(A, A @ x, x_true=x, lam=1e-5, rho=None)
+        inst = SensingInstance(A, A @ x, x_true=x)
         path = tmp_path / "sense.txt"
         save_instance(path, inst)
         back = load_instance(path)
         assert np.array_equal(back.A, inst.A)
         assert np.array_equal(back.b, inst.b)
         assert np.array_equal(back.x_true, inst.x_true)
-        assert back.lam == 1e-5
-        assert back.rho is None
+        assert path.read_text().splitlines()[:4] == [
+            "triosplit-instance v2", "kind sensing", "shape 4 9", "has_truth 1"]
 
     def test_observations_round_trip(self, tmp_path):
         obs = ObservationSet([0, 2], [1, 0], [0.5, -1.25], (3, 3))
@@ -202,5 +202,13 @@ class TestSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not an instance\n")
+        with pytest.raises(ValueError, match="not an instance file"):
+            load_instance(path)
+
+    def test_v1_file_rejected(self, tmp_path):
+        # v1 sensing files carried lam and rho header lines, which v2 dropped
+        path = tmp_path / "v1.txt"
+        path.write_text("triosplit-instance v1\nkind sensing\nshape 1 1\nlam none\n"
+                        "rho none\nhas_truth 0\n1.0\n1.0\n")
         with pytest.raises(ValueError, match="not an instance file"):
             load_instance(path)

@@ -9,7 +9,7 @@ from triosplit import cs as cs_mod
 from triosplit import matcomp as mc_mod
 from triosplit.experiments import (ConfigError, ExperimentConfig, PRESETS,
                                    build_config, diagnose_gamma, run_experiment)
-from triosplit.splitting import lambda_threshold, max_step_size
+from triosplit.splitting import DEFAULT_STEP_FRACTION, lambda_threshold, max_step_size
 
 
 def small_matcomp_config(**extra):
@@ -62,6 +62,17 @@ class TestConfig:
             build_config(preset="missing")
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             build_config(overrides={"task": "diagnose", "bogus": 1})
+
+    @pytest.mark.parametrize("task", ["matcomp_synth", "cs_recovery"])
+    def test_diagnose_constants_rejected_on_solver_tasks(self, tmp_path, task):
+        # each solver derives its own (L, l, beta); only diagnose reads these keys
+        path = tmp_path / "cfg.ini"
+        path.write_text("[solver]\nbeta = 5\n")
+        with pytest.raises(ConfigError, match="'beta' is read only by the diagnose task"):
+            build_config(config_path=path, base={"task": task})
+        with pytest.raises(ConfigError, match="'L' is read only by the diagnose task"):
+            build_config(overrides={"task": task, "L": 2.0})
+        assert build_config(config_path=path, base={"task": "diagnose"}).beta == 5.0
 
     def test_method_aliases_and_string_lists(self):
         cfg = ExperimentConfig(task="cs_recovery", methods="admm_lasso, dys_l12")
@@ -281,27 +292,35 @@ def test_numeric_cells_parse_as_floats(matcomp_table, tmp_path):
                     float(cell)
 
 
+def diagnose_gamma0(table):
+    (root,) = table.select(record="root")
+    return root["gamma"]
+
+
 class TestDiagnose:
     def test_reference_constants_report(self):
-        rep = diagnose_gamma(1.0, 0.0, 1.0)
-        assert rep.gamma0 == pytest.approx(0.15, abs=0.01)
-        assert rep.recommended == pytest.approx(0.99 * rep.gamma0)
+        table = diagnose_gamma(1.0, 0.0, 1.0)
+        gamma0 = diagnose_gamma0(table)
+        assert gamma0 == pytest.approx(0.15, abs=0.01)
+        (recommended,) = table.select(record="recommended")
+        assert recommended["gamma"] == DEFAULT_STEP_FRACTION * gamma0 == pytest.approx(0.99 * gamma0)
 
     def test_delegates_to_root_finder(self):
-        rep = diagnose_gamma(1.0, 1.0, 1.0)
-        assert rep.gamma0 == max_step_size(1.0, 1.0, 1.0)
+        assert diagnose_gamma0(diagnose_gamma(1.0, 1.0, 1.0)) == max_step_size(1.0, 1.0, 1.0)
 
     def test_grid_rows_positive_below_root(self):
-        rep = diagnose_gamma(2.0, 0.0, 0.5)
-        for gamma, value in rep.grid:
-            if gamma < rep.gamma0:
+        table = diagnose_gamma(2.0, 0.0, 0.5)
+        gamma0 = diagnose_gamma0(table)
+        grid = [(row["gamma"], row["lambda_value"]) for row in table.select(record="grid")]
+        for gamma, value in grid:
+            if gamma < gamma0:
                 # a grid point can land on the root itself, where the value
                 # sits within the root-finder tolerance of zero
                 assert value > -1e-9
-        assert any(gamma > rep.gamma0 and value < 0 for gamma, value in rep.grid)
+        assert any(gamma > gamma0 and value < 0 for gamma, value in grid)
 
     def test_table_form(self):
-        table = diagnose_gamma(1.0, 0.0, 1.0).to_table()
+        table = diagnose_gamma(1.0, 0.0, 1.0)
         kinds = [row["record"] for row in table.rows]
         assert kinds[0] == "root" and kinds[1] == "recommended"
         assert kinds.count("grid") == len(table.rows) - 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triosplit import linalg, matcomp, prox
+from triosplit import linalg, matcomp, prox, splitting
 from triosplit.datagen import gen_low_rank, observe, sample_omega
 from triosplit.linalg import ObservationSet, SvdWarmStart, masked_relative_residual
 from triosplit.matcomp import (CompletionInstance, default_masked_rule,
@@ -78,7 +78,7 @@ class TestDysComplete:
     def test_step_starts_at_k_times_the_root_of_the_objectives_constants(self, desk_instance):
         inst, _ = desk_instance
         res = dys_complete(inst, rule=default_masked_rule(max_iter=1))
-        assert res.trace.column("gamma")[0] == matcomp.DEFAULT_K * max_step_size(1.0, 0.0, inst.lam)
+        assert res.trace.column("gamma")[0] == splitting.DEFAULT_K * max_step_size(1.0, 0.0, inst.lam)
 
     def test_energy_recording_on_request(self):
         inst, M = make_instance(30, 2, 0.6, 1e-6, seed=11)

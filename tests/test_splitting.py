@@ -10,7 +10,7 @@ from triosplit.linalg import ObservationSet
 from triosplit.prox import soft_threshold
 from triosplit.splitting import (CONVERGED, DIVERGED, MAX_ITER,
                                  DiagnosticsUnavailable, OracleError, RunTrace,
-                                 SplittingState, StepSizePolicy, StoppingRule,
+                                 SplittingState, StoppingRule,
                                  ThreeTermProblem, _iterate, adapt_gamma,
                                  check_stop, dys_step, energy, lambda_threshold,
                                  max_step_size, run, stationarity_bound)
@@ -250,31 +250,31 @@ class TestEnergy:
 # step-size adaptation
 
 class TestAdaptGamma:
-    policy = StepSizePolicy(gamma0=0.1, k=10.0)
+    gamma0 = 0.1
 
     def test_no_change_at_or_below_root(self):
         rec = make_record(dy_norm=1e9, y_inf=1e20, t=5)
-        assert adapt_gamma(self.policy, 0.1, via_trace(rec)) == 0.1
-        assert adapt_gamma(self.policy, 0.05, via_trace(rec)) == 0.05
+        assert adapt_gamma(self.gamma0, 0.1, via_trace(rec)) == 0.1
+        assert adapt_gamma(self.gamma0, 0.05, via_trace(rec)) == 0.05
 
     def test_halving_branch(self):
         rec = make_record(dy_norm=1e9, t=3)
-        assert adapt_gamma(self.policy, 0.8, via_trace(rec)) == pytest.approx(0.4)
+        assert adapt_gamma(self.gamma0, 0.8, via_trace(rec)) == pytest.approx(0.4)
 
     def test_floor_binds_near_root(self):
         rec = make_record(dy_norm=1e9, t=3)
-        out = adapt_gamma(self.policy, 0.15, via_trace(rec))
+        out = adapt_gamma(self.gamma0, 0.15, via_trace(rec))
         assert out == pytest.approx(0.9999 * 0.1)
 
     def test_speed_trigger_uses_iteration_count(self):
         slow = make_record(dy_norm=10.0, t=10)   # threshold 1000/10 = 100
         fast = make_record(dy_norm=150.0, t=10)
-        assert adapt_gamma(self.policy, 0.8, via_trace(slow)) == 0.8
-        assert adapt_gamma(self.policy, 0.8, via_trace(fast)) == pytest.approx(0.4)
+        assert adapt_gamma(self.gamma0, 0.8, via_trace(slow)) == 0.8
+        assert adapt_gamma(self.gamma0, 0.8, via_trace(fast)) == pytest.approx(0.4)
 
     def test_magnitude_trigger(self):
         rec = make_record(dy_norm=0.0, y_inf=1e11, t=2)
-        assert adapt_gamma(self.policy, 0.8, via_trace(rec)) == pytest.approx(0.4)
+        assert adapt_gamma(self.gamma0, 0.8, via_trace(rec)) == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +438,16 @@ class TestRun:
         assert obj_admm == pytest.approx(obj_ista, abs=1e-6)
 
     def test_policy_decays_toward_root_under_fast_motion(self):
+        # run derives gamma0 from the problem's own constants and starts at k * gamma0
         rng = np.random.default_rng(10)
         problem = make_composite_problem(rng, 5)
         g0 = max_step_size(problem.L, problem.l, problem.beta)
-        policy = StepSizePolicy(gamma0=g0, k=8.0)
-        res = run(problem, 1e4 + rng.standard_normal(5), policy=policy,
+        res = run(problem, 1e4 + rng.standard_normal(5), k=8.0,
                   rule=StoppingRule(max_iter=50))
         gammas = res.trace.column("gamma")
-        assert gammas[0] == pytest.approx(8.0 * g0)
+        assert gammas[0] == 8.0 * g0
         assert gammas[-1] <= g0
+        assert gammas[-1] >= 0.9999 * g0
 
     def test_divergence_detected_on_blowup(self):
         problem = ThreeTermProblem(
@@ -483,9 +484,9 @@ class TestRun:
         assert "one shape" in str(info.value.__cause__)
 
     def test_gamma_and_policy_are_exclusive(self):
+        # the decay policy is selected by k, which cannot go with a fixed step
         with pytest.raises(ValueError, match="not both"):
-            run(zero_problem(), np.zeros(2), gamma=0.1,
-                policy=StepSizePolicy(gamma0=0.1))
+            run(zero_problem(), np.zeros(2), gamma=0.1, k=2.0)
 
     def test_default_step_is_margin_below_root(self):
         problem = zero_problem()
@@ -497,8 +498,8 @@ class TestRun:
 @pytest.mark.parametrize("build", [
     lambda: StoppingRule(eps_abs=float("nan")),
     lambda: StoppingRule(eps_rel=float("nan")),
-    lambda: StepSizePolicy(gamma0=0.1, k=float("nan")),
-    lambda: StepSizePolicy(gamma0=float("nan")),
+    lambda: run(zero_problem(), np.zeros(2), k=float("nan")),
+    lambda: run(zero_problem(), np.zeros(2), k=0.5),
     lambda: ThreeTermProblem(prox_f=identity_prox, prox_g=identity_prox,
                              grad_h=identity_prox, L=1.0, beta=float("nan")),
     lambda: ThreeTermProblem(prox_f=identity_prox, prox_g=identity_prox,
@@ -612,6 +613,16 @@ def test_trace_csv_round_trip(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) == 0.1
+
+
+def test_trace_csv_of_a_run_that_diverged_on_its_first_step():
+    problem = ThreeTermProblem(prox_f=lambda v, gamma: v * np.nan, prox_g=identity_prox,
+                               grad_h=lambda y: np.zeros_like(y), L=1.0)
+    res = run(problem, np.ones(3), gamma=0.5)
+    assert res.status == DIVERGED and len(res.trace) == 0
+    buf = io.StringIO()
+    res.trace.to_csv(buf)
+    assert buf.getvalue() == "iter,gamma,energy,dy_norm,zy_gap,r_primal,s_dual\n"
 
 
 class TestRunTrace:
