@@ -7,8 +7,8 @@ matrix-completion and sparse-recovery pipelines and an experiment CLI.
 from .cs import (RecoveryReport, SensingInstance, admm_lasso, dca_l12, dys_l12,
                  evaluate, truncated_sparsity)
 from .datagen import (DctSpec, add_noise, gen_dct_matrix, gen_low_rank,
-                      gen_sparse_signal, load_instance, mutual_coherence,
-                      observe, sample_omega, save_instance)
+                      gen_sparse_signal, mutual_coherence, observe,
+                      sample_omega)
 from .experiments import (ExperimentConfig, PRESETS, ResultTable, build_config,
                           diagnose_gamma, run_experiment)
 from .linalg import (ObservationSet, SvdTriplet, SvdWarmStart,

@@ -1,4 +1,4 @@
-"""Synthetic instance generators and a text serialization for instances.
+"""Synthetic instance generators and a text writer for observation sets.
 
 Every generator is a pure function of its parameters and seed; a fixed seed
 reproduces the instance bit for bit. Seeds may be integers or numpy
@@ -13,9 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cs import SensingInstance
 from .linalg import ObservationSet, as_matrix
-from .matcomp import CompletionInstance
 
 
 def gen_low_rank(n, r, seed):
@@ -140,102 +138,16 @@ def add_noise(b, sigma, seed):
 
 
 # ---------------------------------------------------------------------------
-# text serialization (header + whitespace-separated values, round-trip exact)
+# text serialization of an observation set (header + `row col value` lines)
 
-_MAGIC = "triosplit-instance v2"
 _OBS_MAGIC = "triosplit-observations v1"
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
-def _write_entries(f, obs):
-    """One `row col value` line per observed entry."""
-    for r, c, v in zip(obs.rows, obs.cols, obs.values):
-        f.write(f"{r} {c} {_fmt(v)}\n")
-
-
-def _read_entries(f, count, shape):
-    """Read count `row col value` lines into an observation set of the shape."""
-    rows, cols, values = [], [], []
-    for _ in range(count):
-        r, c, v = f.readline().split()
-        rows.append(int(r))
-        cols.append(int(c))
-        values.append(float(v))
-    return ObservationSet(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                          np.array(values), shape)
-
-
 def save_observations(path, obs):
+    """Write an observation set: a magic line, `rows cols count`, then one
+    `row col value` line per entry, values with full round-trip precision."""
     with open(path, "w") as f:
         f.write(_OBS_MAGIC + "\n")
         f.write(f"{obs.shape[0]} {obs.shape[1]} {len(obs)}\n")
-        _write_entries(f, obs)
-
-
-def load_observations(path):
-    with open(path) as f:
-        if f.readline().strip() != _OBS_MAGIC:
-            raise ValueError(f"{path}: not an observation file")
-        rows_n, cols_n, count = (int(tok) for tok in f.readline().split())
-        return _read_entries(f, count, (rows_n, cols_n))
-
-
-def save_instance(path, inst):
-    """Write a completion or sensing instance as plain text.
-
-    Layout (v2): a magic line `triosplit-instance v2`, then
-    `kind completion|sensing`, then key/value header lines, then
-    whitespace-separated data. Completion instances list `shape R C`,
-    `rank`, `lam`, `count`, and one `row col value` line per observed entry;
-    sensing instances list `shape M N` and `has_truth`, then M rows of the
-    matrix, the measurement line, and the ground-truth line when present.
-    Sensing weights are solver arguments, not instance data, so v2 drops the
-    v1 sensing `lam` and `rho` lines; load_instance rejects a v1 file as not
-    an instance file. Floats are written with full round-trip precision.
-    """
-    with open(path, "w") as f:
-        f.write(_MAGIC + "\n")
-        if isinstance(inst, CompletionInstance):
-            f.write("kind completion\n")
-            f.write(f"shape {inst.shape[0]} {inst.shape[1]}\n")
-            f.write(f"rank {inst.r}\n")
-            f.write(f"lam {_fmt(inst.lam)}\n")
-            f.write(f"count {len(inst.obs)}\n")
-            _write_entries(f, inst.obs)
-        elif isinstance(inst, SensingInstance):
-            f.write("kind sensing\n")
-            f.write(f"shape {inst.m} {inst.n}\n")
-            f.write(f"has_truth {0 if inst.x_true is None else 1}\n")
-            for row in inst.A:
-                f.write(" ".join(_fmt(v) for v in row) + "\n")
-            f.write(" ".join(_fmt(v) for v in inst.b) + "\n")
-            if inst.x_true is not None:
-                f.write(" ".join(_fmt(v) for v in inst.x_true) + "\n")
-        else:
-            raise TypeError(f"cannot serialize {type(inst).__name__}")
-
-
-def load_instance(path):
-    """Read back an instance written by save_instance."""
-    with open(path) as f:
-        if f.readline().strip() != _MAGIC:
-            raise ValueError(f"{path}: not an instance file")
-        kind = f.readline().split()[1]
-        if kind == "completion":
-            shape = tuple(int(tok) for tok in f.readline().split()[1:])
-            rank = int(f.readline().split()[1])
-            lam = float(f.readline().split()[1])
-            count = int(f.readline().split()[1])
-            return CompletionInstance(_read_entries(f, count, shape), shape, rank, lam)
-        if kind == "sensing":
-            _, m, n = f.readline().split()
-            m, n = int(m), int(n)
-            has_truth = bool(int(f.readline().split()[1]))
-            A = np.array([[float(v) for v in f.readline().split()] for _ in range(m)])
-            b = np.array([float(v) for v in f.readline().split()])
-            x_true = np.array([float(v) for v in f.readline().split()]) if has_truth else None
-            return SensingInstance(A, b, x_true=x_true)
-        raise ValueError(f"{path}: unknown instance kind {kind!r}")
+        for r, c, v in zip(obs.rows, obs.cols, obs.values):
+            f.write(f"{r} {c} {float(v)!r}\n")

@@ -139,7 +139,7 @@ PRESETS = {
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
 _TUPLE_INT_FIELDS = {"sparsity_levels", "ranks"}
 _TUPLE_FLOAT_FIELDS = {"sigmas"}
-_CONFIG_KEY_ALIASES = {"s": "sparsity_levels", "f": "refinement", "sigma": "sigmas",
+_CONFIG_KEY_ALIASES = {"s": "sparsity_levels", "F": "refinement", "sigma": "sigmas",
                        "k": "k_init", "rank": "r", "lambda": "lam", "format": "fmt"}
 
 
@@ -200,6 +200,7 @@ def _as_tuple(value, caster):
 
 def _read_config_file(path):
     parser = configparser.ConfigParser()
+    parser.optionxform = str  # keys keep their case: L and l are different fields
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")

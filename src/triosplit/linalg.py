@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -45,13 +45,19 @@ class ObservationSet:
     """Observed entries of a rows x cols matrix.
 
     Index pairs are stored as parallel integer arrays; they must be unique
-    and in bounds, with one finite value per pair.
+    and in bounds, with one finite value per pair. ``flat`` holds the same
+    pairs as C-order flat indices, ``rows * ncols + cols``: the solvers read
+    and write the observed entries of a matrix X with ``X.take(flat)`` and
+    ``X.put(flat, v)``, the same entries as ``X[rows, cols]`` at a fraction
+    of the cost of 2-D fancy indexing. Both index X in C order whatever its
+    memory layout.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
     shape: tuple
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -68,12 +74,13 @@ class ObservationSet:
             raise ValueError("indices and values must be 1-D arrays")
         if not (len(rows) == len(cols) == len(values)):
             raise ValueError("index and value arrays must have equal length")
-        if len(rows):
-            if rows.min() < 0 or rows.max() >= nr or cols.min() < 0 or cols.max() >= nc:
-                raise ValueError("observation indices out of bounds")
-            lin = rows * nc + cols
-            if len(np.unique(lin)) != len(lin):
-                raise ValueError("observation indices must be unique")
+        if len(rows) and (rows.min() < 0 or rows.max() >= nr
+                          or cols.min() < 0 or cols.max() >= nc):
+            raise ValueError("observation indices out of bounds")
+        flat = rows * nc + cols
+        if len(np.unique(flat)) != len(flat):
+            raise ValueError("observation indices must be unique")
+        object.__setattr__(self, "flat", flat)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
 
@@ -126,7 +133,28 @@ class SvdWarmStart:
 START_BLEND = 10.0  # weight of the Gaussian block in a warm start, in units of sqrt(tol)
 
 
-def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, start=None):
+FLOOR_GUARD_RATIO = 0.8  # slowest shrink of its moves assumed for an estimate below a floor
+
+
+def _stays_below(gap, move, last_move, settled_move):
+    """Whether an estimate ``gap`` below a floor will stay there: it has
+    settled (moved by less than ``settled_move``), or its moves are
+    shrinking and the gap exceeds the rest of its rise, move * rho / (1 - rho),
+    were they to keep shrinking at ratio rho, the larger of the last ratio
+    and FLOOR_GUARD_RATIO (a rest of at least four moves). The assumed
+    ratio is there because the first moves of an estimate climbing from a
+    Gaussian block shrink faster than the later ones: on a tail packed
+    just below the floor they shrank at 0.48, then at 0.7 to 0.77."""
+    if move < settled_move:
+        return True
+    if last_move is None or move >= last_move:
+        return False
+    rho = max(FLOOR_GUARD_RATIO, move / last_move)
+    return gap > move * rho / (1.0 - rho)
+
+
+def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, start=None,
+                  floor=None):
     """Top-k singular triplet of a dense matrix.
 
     Matrices whose smaller dimension is at most ``dense_cutoff`` are handled
@@ -134,6 +162,17 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     on p = k + 8 columns (Halko, Martinsson and Tropp, SIAM Rev. 2011), swept
     until the leading k singular values change by less than ``tol`` relative
     to the largest one between two sweeps.
+
+    A caller that keeps only the values above a threshold passes it as
+    ``floor``. Then only the estimates above ``floor`` must settle, and the
+    largest estimate at or below it must either settle too or sit below
+    ``floor`` by more than the rest of its rise, extrapolated from its last
+    two moves and never taken as less than four moves, so that a value
+    still rising cannot cross the floor unseen. (A gap of one move is not
+    enough: on tails packed just below the floor, estimates climbing toward
+    a value at 1.02 times the floor moved by less than their gap and the
+    value was dropped.) The values at or below the floor come back
+    unsettled; they tell only that the kept values end there.
 
     A sweep from an orthonormal right basis V (n x p) makes one product
     each way and reads the values from a p x p factor: ``Q = qr(A V)``,
@@ -173,6 +212,7 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     max_sweeps : int, sweep cap; exceeding it raises TruncatedSvdError
     start : array, n x c, optional right basis to start from; ignored on
         the dense path
+    floor : float, optional; settle only the values above it (see above)
 
     Returns an SvdTriplet; on the subspace path its ``basis`` is the final
     rotated V and ``sweeps`` the number of sweeps made.
@@ -200,7 +240,7 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
         V = G.copy()
         blend = START_BLEND * np.sqrt(tol) * np.linalg.norm(start[:, :c])
         V[:, :c] = start[:, :c] + (blend / np.linalg.norm(G[:, :c])) * G[:, :c]
-    prev = None
+    prev = moves = None
     change = np.inf
     for sweep in range(1, max_sweeps + 1):
         Q = np.linalg.qr((V.T @ A.T).T)[0]
@@ -208,8 +248,17 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
         top = np.linalg.svd(R, compute_uv=False)[:k]
         if prev is not None:
             scale = max(top[0], np.finfo(float).tiny)
-            change = np.max(np.abs(top - prev)) / scale
-            if change < tol:
+            moves, last = np.abs(top - prev), moves
+            if floor is None:
+                change = np.max(moves) / scale
+                settled = change < tol
+            else:
+                above = int(np.count_nonzero(top > floor))  # top is nonincreasing
+                change = np.max(moves[:above], initial=0.0) / scale
+                settled = change < tol and (above == k or _stays_below(
+                    floor - top[above], moves[above], None if last is None else last[above],
+                    tol * scale))
+            if settled:
                 Ur, s, Vrt = np.linalg.svd(R)
                 V = V @ Ur
                 return SvdTriplet(Q @ Vrt[:k].T, s[:k].copy(), V[:, :k].copy(),
@@ -233,7 +282,7 @@ def masked_relative_residual(X, obs):
     den = np.linalg.norm(obs.values)
     if den == 0.0:
         raise ValueError("observed entries are all zero; relative residual undefined")
-    num = np.linalg.norm(X[obs.rows, obs.cols] - obs.values)
+    num = np.linalg.norm(X.take(obs.flat) - obs.values)
     return num / den
 
 

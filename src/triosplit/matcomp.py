@@ -88,7 +88,7 @@ def rmse(X, test_obs):
     X = as_matrix(X)
     if len(test_obs) == 0:
         raise ValueError("test set is empty")
-    diff = X[test_obs.rows, test_obs.cols] - test_obs.values
+    diff = X.take(test_obs.flat) - test_obs.values
     return math.sqrt(float(np.mean(diff ** 2)))
 
 
@@ -104,7 +104,7 @@ def _masked_metric(X, obs):
     # relative misfit on the mask; degenerate all-zero data falls back to the
     # absolute misfit so a zero instance reads as solved at X = 0
     if np.linalg.norm(obs.values) == 0.0:
-        return float(np.linalg.norm(X[obs.rows, obs.cols]))
+        return float(np.linalg.norm(X.take(obs.flat)))
     return masked_relative_residual(X, obs)
 
 
@@ -126,7 +126,7 @@ def _completion_problem(inst, lam, with_energy, warm):
     values = {}
     if with_energy:
         values = dict(
-            value_f=lambda X: 0.5 * float(np.sum((X[obs.rows, obs.cols] - obs.values) ** 2)),
+            value_f=lambda X: 0.5 * float(np.sum((X.take(obs.flat) - obs.values) ** 2)),
             value_g=lambda Z: 0.0 if _rank_feasible(Z, r) else float("inf"),
             value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)),
         )
@@ -191,7 +191,7 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
         (X,) = state
         step = 1.0 / (p * math.sqrt(t)) if eta is None else eta
         Y = X.copy()
-        Y[obs.rows, obs.cols] -= step * (X[obs.rows, obs.cols] - obs.values)
+        Y.put(obs.flat, Y.take(obs.flat) - step * (X.take(obs.flat) - obs.values))
         return (rank_projection(Y, r, warm=warm),)
 
     def measure(old, new, t):
@@ -209,7 +209,11 @@ def shrink_singular_values(X, tau, start_k=4, warm=None):
     """All-above-threshold shrinkage: sum of (sigma_j - tau) * u_j v_j^T over
     sigma_j > tau. The factor count is found by growing the truncation width
     until the smallest computed value falls at or below tau; each wider SVD
-    starts from the basis the narrower one ended on.
+    starts from the basis the narrower one ended on. Each SVD is given tau
+    as its ``floor``: it settles only the values it keeps, and stops once
+    the largest estimate at or below tau sits below it by more than the
+    rest of its rise, without settling the discarded values (see
+    truncated_svd).
 
     Without ``warm`` this is a cold one-shot call: the first SVD starts from
     a fresh seeded block. With an SvdWarmStart it starts from the basis the
@@ -219,7 +223,7 @@ def shrink_singular_values(X, tau, start_k=4, warm=None):
     mindim = min(X.shape)
     k = min(max(int(start_k), 1), mindim)
     while True:
-        t = truncated_svd(X, k, start=warm.basis)
+        t = truncated_svd(X, k, start=warm.basis, floor=tau)
         warm.keep(t)
         if t.S[-1] <= tau or k == mindim:
             break
@@ -238,8 +242,7 @@ def svt_step(X, obs, tau, delta, start_k=4, warm=None):
     passed on to shrink_singular_values; without it the call is cold."""
     Y_new, rank = shrink_singular_values(X, tau, start_k=start_k, warm=warm)
     X_new = np.zeros(X.shape)
-    X_new[obs.rows, obs.cols] = (X[obs.rows, obs.cols]
-                                 + delta * (obs.values - Y_new[obs.rows, obs.cols]))
+    X_new.put(obs.flat, X.take(obs.flat) + delta * (obs.values - Y_new.take(obs.flat)))
     return Y_new, X_new, rank
 
 

@@ -44,6 +44,19 @@ class TestDiagnoseCommand:
         assert root[0] == "root"
         assert float(root[1]) == pytest.approx((6 ** 0.5 - 2) / 2e-4, rel=1e-14)
 
+    def test_config_keys_keep_their_case(self, tmp_path, capsys):
+        # L and l are different constants; a config file must not fold one into the other
+        path = tmp_path / "cfg.ini"
+        path.write_text("[solver]\nL = 2\nl = 0\nbeta = 1\n")
+        assert main(["diagnose", "--config", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["diagnose", "--L", "2", "--l", "0", "--beta", "1"]) == 0
+        assert from_file == capsys.readouterr().out
+        assert "root,0.0899" in from_file
+        path.write_text("[instance]\nN = 300\n")
+        assert main(["diagnose", "--config", str(path)]) == 1
+        assert "unknown configuration keys ['N']" in capsys.readouterr().err
+
     def test_constants_without_a_threshold_are_an_error(self, capsys):
         assert main(["diagnose", "--L", "0", "--l", "0", "--beta", "0"]) == 1
         assert capsys.readouterr().err.startswith("error: L must be positive")

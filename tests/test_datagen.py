@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from triosplit.cs import SensingInstance
 from triosplit.datagen import (DctSpec, add_noise, gen_dct_matrix, gen_low_rank,
-                               gen_sparse_signal, load_instance,
-                               load_observations, mutual_coherence, observe,
-                               sample_omega, save_instance, save_observations)
-from triosplit.matcomp import CompletionInstance
+                               gen_sparse_signal, mutual_coherence, observe,
+                               sample_omega, save_observations)
 from triosplit.linalg import ObservationSet
 
 
@@ -160,55 +157,17 @@ class TestNoise:
 
 
 class TestSerialization:
-    def test_completion_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        M, _ = gen_low_rank(12, 3, rng)
-        r, c = sample_omega(12, 12, 40, rng)
-        inst = CompletionInstance(observe(M, r, c), (12, 12), 3, 2.5e-6)
-        path = tmp_path / "inst.txt"
-        save_instance(path, inst)
-        back = load_instance(path)
-        assert back.shape == inst.shape
-        assert back.r == inst.r
-        assert back.lam == inst.lam
-        assert np.array_equal(back.obs.rows, inst.obs.rows)
-        assert np.array_equal(back.obs.cols, inst.obs.cols)
-        assert np.array_equal(back.obs.values, inst.obs.values)
-
-    def test_sensing_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((4, 9))
-        x = np.zeros(9)
-        x[2] = 1.3
-        inst = SensingInstance(A, A @ x, x_true=x)
-        path = tmp_path / "sense.txt"
-        save_instance(path, inst)
-        back = load_instance(path)
-        assert np.array_equal(back.A, inst.A)
-        assert np.array_equal(back.b, inst.b)
-        assert np.array_equal(back.x_true, inst.x_true)
-        assert path.read_text().splitlines()[:4] == [
-            "triosplit-instance v2", "kind sensing", "shape 4 9", "has_truth 1"]
-
     def test_observations_round_trip(self, tmp_path):
         obs = ObservationSet([0, 2], [1, 0], [0.5, -1.25], (3, 3))
         path = tmp_path / "obs.txt"
         save_observations(path, obs)
-        back = load_observations(path)
+        magic, header, *entries = path.read_text().splitlines()
+        assert magic == "triosplit-observations v1"
+        rows, cols, count = (int(tok) for tok in header.split())
+        fields = [line.split() for line in entries]
+        back = ObservationSet([int(f[0]) for f in fields], [int(f[1]) for f in fields],
+                              [float(f[2]) for f in fields], (rows, cols))
+        assert count == len(back)
         assert back.shape == obs.shape
         assert np.array_equal(back.rows, obs.rows)
         assert np.array_equal(back.values, obs.values)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not an instance\n")
-        with pytest.raises(ValueError, match="not an instance file"):
-            load_instance(path)
-
-    def test_v1_file_rejected(self, tmp_path):
-        # v1 sensing files carried lam and rho header lines, which v2 dropped
-        path = tmp_path / "v1.txt"
-        path.write_text("triosplit-instance v1\nkind sensing\nshape 1 1\nlam none\n"
-                        "rho none\nhas_truth 0\n1.0\n1.0\n")
-        with pytest.raises(ValueError, match="not an instance file"):
-            load_instance(path)

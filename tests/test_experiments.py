@@ -78,6 +78,14 @@ class TestConfig:
         cfg = ExperimentConfig(task="cs_recovery", methods="admm_lasso, dys_l12")
         assert cfg.methods == ("admm", "dys")
 
+    def test_config_file_keys_keep_their_case(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[instance]\nF = 5\n")
+        assert build_config(config_path=path, base={"task": "cs_recovery"}).refinement == 5
+        path.write_text("[instance]\nf = 5\n")
+        with pytest.raises(ConfigError, match="unknown configuration keys"):
+            build_config(config_path=path, base={"task": "cs_recovery"})
+
     def test_list_coercion_from_strings(self):
         cfg = build_config(overrides={"task": "cs_recovery", "s": "2, 3",
                                       "sigma": "0.0", "m": "20", "n": "50"})

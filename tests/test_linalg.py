@@ -33,6 +33,25 @@ class TestObservationSet:
         with pytest.raises(ValueError, match="finite"):
             ObservationSet([0], [0], [np.nan], (3, 3))
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_flat_index_reads_and_writes_the_observed_entries(self, layout):
+        rng = np.random.default_rng(14)
+        obs = random_obs(rng, 9, 7, 20)
+        X = rng.standard_normal((9, 7))
+        X = {"C": X, "F": np.asfortranarray(X),
+             "strided": rng.standard_normal((18, 21))[::2, ::3]}[layout]
+        assert np.array_equal(obs.flat, obs.rows * 7 + obs.cols)
+        assert np.array_equal(X.take(obs.flat), X[obs.rows, obs.cols])
+        put, ref = X.copy(order="K"), X.copy(order="K")
+        put.put(obs.flat, obs.values)
+        ref[obs.rows, obs.cols] = obs.values
+        assert np.array_equal(put, ref)
+
+    def test_flat_index_of_an_empty_set(self):
+        obs = ObservationSet([], [], [], (4, 4))
+        assert obs.flat.shape == (0,)
+        assert np.zeros((4, 4)).take(obs.flat).shape == (0,)
+
 
 class TestTruncatedSvd:
     def test_identity_singular_values(self):
@@ -157,6 +176,29 @@ class TestTruncatedSvdStart:
         assert truncated_svd(A[:, :50], 4).basis is None  # dense path
         with pytest.raises(ValueError, match="rows"):
             truncated_svd(A, 4, dense_cutoff=0, start=t.basis[:60])
+
+
+class TestTruncatedSvdFloor:
+    @staticmethod
+    def straddling(m=120, n=100, seed=3):
+        # values at 1.02 and 0.98 of the floor 1, with a tail below
+        rng = np.random.default_rng(seed)
+        s = np.concatenate([[4.0, 3.0, 2.0, 1.5, 1.02, 0.98], np.linspace(0.9, 0.01, n - 6)])
+        U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (U * s) @ V.T, s
+
+    def test_settles_the_values_above_the_floor_in_fewer_sweeps(self):
+        A, s = self.straddling()
+        full = truncated_svd(A, 8)
+        t = truncated_svd(A, 8, floor=1.0)
+        assert np.max(np.abs(t.S[:5] - s[:5])) < 10 * 1e-10 * s[0]
+        assert t.S[5] <= 1.0
+        assert t.sweeps < full.sweeps
+
+    def test_zero_matrix_at_a_zero_floor(self):
+        t = truncated_svd(np.zeros((80, 70)), 4, dense_cutoff=0, floor=0.0)
+        assert np.array_equal(t.S, np.zeros(4))
 
 
 class TestTruncatedSvdSweep:

@@ -203,6 +203,57 @@ class TestSvtComplete:
         assert rank >= 1  # not pinned to inst.r by construction
 
 
+def shrink_reference(X, tau):
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    keep = s > tau
+    return (U[:, keep] * (s[keep] - tau)) @ Vt[keep], int(np.count_nonzero(keep))
+
+
+def known_spectrum(s, m=120, seed=3):
+    rng = np.random.default_rng(seed)
+    n = len(s)
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U * s) @ V.T, V
+
+
+class TestShrinkageOnTheSubspacePath:
+    TOL = 1e-10  # truncated_svd's default settling tolerance
+
+    @pytest.mark.parametrize("tau", [1.0, 250.0])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_values_straddling_tau_closely(self, tau, warm):
+        # 120 x 100 is above the dense cutoff; 1.02 tau is kept, 0.98 tau is not
+        s = tau * np.concatenate([[4.0, 3.0, 2.0, 1.5, 1.02, 0.98], np.linspace(0.9, 0.01, 94)])
+        X, _ = known_spectrum(s)
+        state = None
+        if warm:
+            state = SvdWarmStart()
+            nearby = X + 1e-4 * tau * np.random.default_rng(4).standard_normal(X.shape)
+            shrink_singular_values(nearby, tau, warm=state)
+        out, count = shrink_singular_values(X, tau, warm=state)
+        ref, ref_count = shrink_reference(X, tau)
+        assert count == ref_count == 5
+        # the kept values settle to the tolerance; their vectors, whose
+        # values lie close to tau, to about its square root
+        shrunk = np.linalg.svd(out, compute_uv=False)[:count]
+        assert np.max(np.abs(shrunk - (s[:count] - tau))) < 10 * self.TOL * s[0]
+        assert np.linalg.norm(out - ref, 2) < np.sqrt(self.TOL) * s[0]
+
+    def test_value_climbing_toward_tau_from_a_gaussian_fill_is_kept(self):
+        # the start spans v1..v3 exactly, so it is orthogonal to v4 at 1.02 tau;
+        # v4 is found by the Gaussian columns, its estimate climbing from below
+        # tau through a tail packed just under it while v1..v3 have settled
+        c, tau = 3, 1.0
+        s = np.concatenate([[4.0, 3.0, 2.0, 1.02], np.linspace(0.99, 0.5, 96)])
+        X, V = known_spectrum(s, seed=1)
+        state = SvdWarmStart()
+        state.basis = V[:, :c]
+        out, count = shrink_singular_values(X, tau, start_k=c + 1, warm=state)
+        assert count == c + 1
+        assert np.linalg.norm(out - shrink_reference(X, tau)[0], 2) < np.sqrt(self.TOL) * s[0]
+
+
 class SvdCalls:
     """Wraps truncated_svd where the solvers look it up, counting sweeps;
     with cold=True every start basis is dropped, so each SVD is one-shot."""
