@@ -146,8 +146,8 @@ _OBS_MAGIC = "triosplit-observations v1"
 def save_observations(path, obs):
     """Write an observation set: a magic line, `rows cols count`, then one
     `row col value` line per entry, values with full round-trip precision."""
+    lines = [_OBS_MAGIC, f"{obs.shape[0]} {obs.shape[1]} {len(obs)}"]
+    lines += [f"{r} {c} {v!r}" for r, c, v in
+              zip(obs.rows.tolist(), obs.cols.tolist(), obs.values.tolist())]
     with open(path, "w") as f:
-        f.write(_OBS_MAGIC + "\n")
-        f.write(f"{obs.shape[0]} {obs.shape[1]} {len(obs)}\n")
-        for r, c, v in zip(obs.rows, obs.cols, obs.values):
-            f.write(f"{r} {c} {float(v)!r}\n")
+        f.write("\n".join(lines) + "\n")

@@ -47,10 +47,11 @@ class ObservationSet:
     Index pairs are stored as parallel integer arrays; they must be unique
     and in bounds, with one finite value per pair. ``flat`` holds the same
     pairs as C-order flat indices, ``rows * ncols + cols``: the solvers read
-    and write the observed entries of a matrix X with ``X.take(flat)`` and
-    ``X.put(flat, v)``, the same entries as ``X[rows, cols]`` at a fraction
-    of the cost of 2-D fancy indexing. Both index X in C order whatever its
-    memory layout.
+    the observed entries of a matrix X with ``X.take(flat)``, which indexes X
+    in C order whatever its memory layout, and write them into a fresh
+    C-contiguous array Y with ``Y.reshape(-1)[flat] = v``, through a flat
+    view. Both touch the same entries as ``X[rows, cols]`` at a fraction of
+    the cost of 2-D fancy indexing.
     """
 
     rows: np.ndarray

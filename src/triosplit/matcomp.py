@@ -191,7 +191,7 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
         (X,) = state
         step = 1.0 / (p * math.sqrt(t)) if eta is None else eta
         Y = X.copy()
-        Y.put(obs.flat, Y.take(obs.flat) - step * (X.take(obs.flat) - obs.values))
+        Y.reshape(-1)[obs.flat] = Y.take(obs.flat) - step * (X.take(obs.flat) - obs.values)
         return (rank_projection(Y, r, warm=warm),)
 
     def measure(old, new, t):
@@ -242,7 +242,7 @@ def svt_step(X, obs, tau, delta, start_k=4, warm=None):
     passed on to shrink_singular_values; without it the call is cold."""
     Y_new, rank = shrink_singular_values(X, tau, start_k=start_k, warm=warm)
     X_new = np.zeros(X.shape)
-    X_new.put(obs.flat, X.take(obs.flat) + delta * (obs.values - Y_new.take(obs.flat)))
+    X_new.reshape(-1)[obs.flat] = X.take(obs.flat) + delta * (obs.values - Y_new.take(obs.flat))
     return Y_new, X_new, rank
 
 

@@ -42,7 +42,7 @@ def prox_masked_quadratic(X, obs, gamma):
     if X.shape != obs.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {obs.shape}")
     out = X.copy()
-    out.put(obs.flat, (X.take(obs.flat) + gamma * obs.values) / (1.0 + gamma))
+    out.reshape(-1)[obs.flat] = (X.take(obs.flat) + gamma * obs.values) / (1.0 + gamma)
     return out
 
 

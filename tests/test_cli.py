@@ -150,6 +150,15 @@ class TestIngestCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_timestamp_beyond_int64_exits_one_naming_the_line(self, tmp_path, capsys):
+        ratings = tmp_path / "r.dat"
+        ratings.write_text("1::10::5::1\n2::20::4::99999999999999999999\n")
+        code = main(["ingest", str(ratings), "--out", str(tmp_path / "split")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ratings}:2: ")
+        assert not (tmp_path / "split.train.txt").exists()
+
 
 class TestExitCodes:
     def test_config_error_exits_one(self, tmp_path, capsys):
