@@ -20,11 +20,16 @@ from .ratings import ingest_ratings
 CLOSED_PIPE = 141
 
 
-def _add_common(parser):
+# the task each command runs unless its settings promote it (see ExperimentConfig)
+_DEFAULT_TASKS = {"matcomp": "matcomp_synth", "cs": "cs_recovery", "diagnose": "diagnose"}
+
+
+def _add_common(parser, trials=True):
     parser.add_argument("--config", metavar="PATH", help="configuration file (key = value sections)")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
-    parser.add_argument("--seed", type=int, help="base seed; trial t uses seed + t")
-    parser.add_argument("--trials", type=int, help="number of trials per grid cell")
+    if trials:  # diagnose runs no trials
+        parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
+        parser.add_argument("--seed", type=int, help="base seed; trial t uses seed + t")
+        parser.add_argument("--trials", type=int, help="number of trials per grid cell")
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
 
@@ -32,7 +37,10 @@ def _add_common(parser):
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError, so it exits 1: argparse's own
     exit code, 2, is the code for a diverged trial. Subcommand parsers
-    inherit the class."""
+    inherit the class, so none of them takes a prefix of a flag either."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -79,27 +87,11 @@ def build_parser():
                      help="writes PREFIX.train.txt and PREFIX.test.txt")
 
     dg = sub.add_parser("diagnose", help="step-size threshold report")
-    _add_common(dg)
+    _add_common(dg, trials=False)
     dg.add_argument("--L", type=float, help="smoothness constant of the first term (default 1)")
     dg.add_argument("--l", type=float, help="weak-convexity modulus of the first term (default 0)")
     dg.add_argument("--beta", type=float, help="smoothness constant of the third term (default 1)")
     return parser
-
-
-def _experiment_overrides(args):
-    skip = {"command", "config", "preset", "out", "fmt"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
-
-
-def _infer_task(args):
-    if args.command == "diagnose":
-        return "diagnose"
-    if args.command == "matcomp":
-        return "matcomp_ratings" if getattr(args, "ratings_path", None) else "matcomp_synth"
-    sigmas = getattr(args, "sigmas", None)
-    if sigmas is not None and any(float(s) > 0 for s in str(sigmas).replace(",", " ").split()):
-        return "cs_noise"
-    return "cs_recovery"
 
 
 def _ingest(args):
@@ -116,9 +108,11 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         if args.command == "ingest":
             return _ingest(args)
-        config = build_config(preset=args.preset, config_path=args.config,
-                              overrides=_experiment_overrides(args),
-                              base={"task": _infer_task(args)})
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "preset")}
+        config = build_config(preset=getattr(args, "preset", None), config_path=args.config,
+                              overrides=overrides, base={"task": _DEFAULT_TASKS[args.command]})
+        if config.task.split("_")[0] != args.command:
+            raise ConfigError(f"task {config.task} is not a {args.command} task")
         table = run_experiment(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -127,13 +121,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    fmt = args.fmt or config.fmt
-    out = args.out or config.out
-    if out:
-        table.write(out, fmt)
+    if config.out:
+        table.write(config.out, config.fmt)
     else:
         try:
-            table.write(sys.stdout, fmt)
+            table.write(sys.stdout, config.fmt)
             sys.stdout.flush()
         except BrokenPipeError:
             # the reader is gone (`... | head -1`): send what is still

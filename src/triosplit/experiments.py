@@ -13,8 +13,9 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -50,14 +51,14 @@ class ExperimentConfig:
     p: float = 0.3
     lam: Optional[float] = None
     ratings_path: Optional[str] = None
-    ranks: tuple = (5, 10)
+    ranks: tuple[int, ...] = (5, 10)
     test_fraction: float = 0.2
     # sensing grids
     m: int = 100
-    sparsity_levels: tuple = (5,)
+    sparsity_levels: tuple[int, ...] = (5,)
     refinement: int = 10
     min_sep: Optional[int] = None
-    sigmas: tuple = (0.0,)
+    sigmas: tuple[float, ...] = (0.0,)
     # solver overrides
     k_init: Optional[float] = None
     max_iter: Optional[int] = None
@@ -78,12 +79,19 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if not all(sigma >= 0 for sigma in self.sigmas):  # and not NaN, which select never matches
             raise ConfigError(f"noise levels {self.sigmas} must be nonnegative")
-        for name in ("lam", "k_init", "beta", "L", "l"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
+        for name, hint in _FIELD_TYPES.items():
+            if _item_type(hint) is float:
+                value = getattr(self, name)
+                for item in value if isinstance(value, tuple) else (value,):
+                    if item is not None and not math.isfinite(item):
+                        raise ConfigError(f"{name} must be finite, got {item!r}")
         if self.lam is not None and self.lam < 0:
             raise ConfigError(f"lam must be nonnegative, got {self.lam!r}")
+        # a ratings file or a noise level promotes the task, and nothing demotes it
+        if self.task == "matcomp_synth" and self.ratings_path:
+            object.__setattr__(self, "task", "matcomp_ratings")
+        if self.task == "cs_recovery" and any(sigma > 0 for sigma in self.sigmas):
+            object.__setattr__(self, "task", "cs_noise")
         object.__setattr__(self, "methods", _normalize_methods(self.task, self.methods))
         if self.task == "matcomp_ratings" and not self.ratings_path:
             raise ConfigError("matcomp_ratings needs a ratings file path")
@@ -136,9 +144,7 @@ PRESETS = {
                           sigmas=(0.01, 0.005, 0.001, 0.0005)),
 }
 
-_FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
-_TUPLE_INT_FIELDS = {"sparsity_levels", "ranks"}
-_TUPLE_FLOAT_FIELDS = {"sigmas"}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 _CONFIG_KEY_ALIASES = {"s": "sparsity_levels", "F": "refinement", "sigma": "sigmas",
                        "k": "k_init", "rank": "r", "lambda": "lam", "format": "fmt"}
 
@@ -157,7 +163,7 @@ def build_config(preset=None, config_path=None, overrides=None, base=None):
         if value is not None:
             merged[key] = value
     merged = {k: _coerce(k, v) for k, v in ((_CONFIG_KEY_ALIASES.get(k, k), v) for k, v in merged.items())}
-    unknown = set(merged) - _FIELD_NAMES
+    unknown = set(merged) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown configuration keys {sorted(unknown)}")
     task = merged.get("task", ExperimentConfig.task)
@@ -170,32 +176,37 @@ def build_config(preset=None, config_path=None, overrides=None, base=None):
         raise ConfigError(str(exc)) from exc
 
 
+def _item_type(hint):
+    """X for a field annotated Optional[X] or tuple[X, ...], else the annotation."""
+    args = [a for a in get_args(hint) if a not in (type(None), Ellipsis)]
+    return args[0] if args else hint
+
+
 def _coerce(key, value):
-    if key in _TUPLE_INT_FIELDS:
-        return _as_tuple(value, int)
-    if key in _TUPLE_FLOAT_FIELDS:
-        return _as_tuple(value, float)
-    if isinstance(value, str):
-        hints = {"trials": int, "seed": int, "n": int, "r": int, "m": int,
-                 "refinement": int, "min_sep": int, "max_iter": int,
-                 "p": float, "lam": float, "test_fraction": float,
-                 "k_init": float, "beta": float, "L": float, "l": float}
-        caster = hints.get(key)
-        if caster is int:
-            return int(float(value))
-        if caster is float:
-            return float(value)
-    return value
-
-
-def _as_tuple(value, caster):
+    """value cast to field key's int or float type; a tuple field also takes
+    a comma or space separated string."""
+    caster = _item_type(_FIELD_TYPES.get(key))
+    if caster not in (int, float):
+        return value
+    if get_origin(_FIELD_TYPES[key]) is not tuple:
+        return _cast(key, caster, value)
     if isinstance(value, str):
         value = value.replace(",", " ").split()
+    return tuple(_cast(key, caster, v) for v in np.atleast_1d(value).tolist())
+
+
+def _cast(key, caster, value):
+    """value as a float, or as an exact int: '1e3' reads 1000 for an int
+    setting, while '2.5' or 'inf' is an error."""
     try:
-        items = tuple(caster(float(v)) if caster is int else caster(v) for v in np.atleast_1d(value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse list value {value!r}") from exc
-    return items
+        if caster is float:
+            return float(value)
+        number = Fraction(value)
+        if number.denominator == 1:
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key} must be {'a number' if caster is float else 'an integer'}, got {value!r}")
 
 
 def _read_config_file(path):
@@ -402,8 +413,7 @@ def _run_cs_method(method, inst, config):
 
 
 def _run_cs(config):
-    schema = "cs_noise.v1" if config.task == "cs_noise" else "cs_recovery.v1"
-    table = ResultTable(schema, CS_COLUMNS)
+    table = ResultTable(f"{config.task}.v1", CS_COLUMNS)
     m, n, F = config.m, config.n, config.refinement
     sep = config.min_sep if config.min_sep is not None else 2 * F
     shared = {"m": m, "n": n, "F": F}

@@ -79,7 +79,8 @@ class ObservationSet:
                           or cols.min() < 0 or cols.max() >= nc):
             raise ValueError("observation indices out of bounds")
         flat = rows * nc + cols
-        if len(np.unique(flat)) != len(flat):
+        ordered = np.sort(flat)  # np.unique takes a slower hash path here
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("observation indices must be unique")
         object.__setattr__(self, "flat", flat)
         if not np.isfinite(values).all():

@@ -30,7 +30,6 @@ from .splitting import (DEFAULT_K, RunTrace, StoppingRule, ThreeTermProblem,
 
 DEFAULT_LAMBDA = 1.5e-6
 MASKED_TOL = 1e-4
-RANK_FEASIBILITY_RATIO = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,14 +91,6 @@ def rmse(X, test_obs):
     return math.sqrt(float(np.mean(diff ** 2)))
 
 
-def _rank_feasible(X, r):
-    mindim = min(X.shape)
-    if r >= mindim:
-        return True
-    t = truncated_svd(X, r + 1)
-    return t.S[r] <= RANK_FEASIBILITY_RATIO * max(t.S[0], np.finfo(float).tiny)
-
-
 def _masked_metric(X, obs):
     # relative misfit on the mask; degenerate all-zero data falls back to the
     # absolute misfit so a zero instance reads as solved at X = 0
@@ -127,7 +118,9 @@ def _completion_problem(inst, lam, with_energy, warm):
     if with_energy:
         values = dict(
             value_f=lambda X: 0.5 * float(np.sum((X.take(obs.flat) - obs.values) ** 2)),
-            value_g=lambda Z: 0.0 if _rank_feasible(Z, r) else float("inf"),
+            # the engine evaluates g only at outputs of prox_g, rank_projection,
+            # whose rank is at most r by construction: g, the rank-r indicator, is 0
+            value_g=lambda Z: 0.0,
             value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)),
         )
     return ThreeTermProblem(prox_f=prox_f, prox_g=prox_g, grad_h=grad_h,

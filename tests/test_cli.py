@@ -62,6 +62,14 @@ class TestDiagnoseCommand:
         assert capsys.readouterr().err.startswith("error: L must be positive")
 
 
+def write_ratings(path):
+    rng = np.random.default_rng(0)
+    lines = [f"{int(rng.integers(1, 15))}::{int(rng.integers(1, 20))}::"
+             f"{int(rng.integers(1, 6))}::{k}" for k in range(300)]
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
 class TestMatcompCommand:
     def test_small_synthetic_run(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -99,17 +107,26 @@ class TestMatcompCommand:
         assert payload["schema"] == "matcomp_synth.v1"
 
     def test_ratings_switches_task(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = [f"{int(rng.integers(1, 15))}::{int(rng.integers(1, 20))}::"
-                 f"{int(rng.integers(1, 6))}::{k}" for k in range(300)]
-        ratings = tmp_path / "r.dat"
-        ratings.write_text("".join(line + "\n" for line in lines))
+        ratings = write_ratings(tmp_path / "r.dat")
         out = tmp_path / "ratings.csv"
         code = main(["matcomp", "--ratings", str(ratings), "--ranks", "2",
                      "--methods", "svp", "--trials", "1", "--max-iter", "200",
                      "--out", str(out)])
         assert code == 0
         assert out.read_text().splitlines()[0] == "#schema=matcomp_ratings.v1"
+
+    def test_ratings_path_switches_task_from_any_source(self, tmp_path, capsys):
+        # a config file's ratings_path, or --ratings beside a synthetic preset,
+        # was ignored and a synthetic table written
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[experiment]\nratings_path = {write_ratings(tmp_path / 'r.dat')}\n"
+                        "ranks = 2\nmethods = svp\ntrials = 1\nmax_iter = 200\n")
+        assert main(["matcomp", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "#schema=matcomp_ratings.v1"
+        missing = tmp_path / "absent.dat"
+        assert main(["matcomp", "--preset", "table1-desk", "--ratings", str(missing),
+                     "--n", "20", "--trials", "1", "--methods", "svp"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCsCommand:
@@ -128,6 +145,23 @@ class TestCsCommand:
                      "--max-iter", "2000", "--out", str(out)])
         assert code == 0
         assert out.read_text().splitlines()[0] == "#schema=cs_noise.v1"
+
+    SMALL = ["--m", "30", "--n", "90", "--s", "2", "--F", "3", "--trials", "1",
+             "--methods", "admm", "--max-iter", "2000"]
+
+    def test_config_file_noise_runs_as_the_noise_flag_does(self, tmp_path, capsys):
+        # the file's sigma used to run the noiseless protocol under the noisy level
+        path = tmp_path / "cfg.ini"
+        path.write_text("[instance]\nsigma = 0.01\n")
+        assert main(["cs", "--config", str(path)] + self.SMALL) == 0
+        from_file = capsys.readouterr().out
+        assert main(["cs", "--sigma", "0.01"] + self.SMALL) == 0
+        assert from_file == capsys.readouterr().out
+        assert from_file.startswith("#schema=cs_noise.v1\n")
+
+    def test_noise_beside_a_noiseless_preset_runs_the_noise_protocol(self, capsys):
+        assert main(["cs", "--preset", "cs-noiseless-desk", "--sigma", "0.01"] + self.SMALL) == 0
+        assert capsys.readouterr().out.startswith("#schema=cs_noise.v1\n")
 
 
 class TestIngestCommand:
@@ -187,6 +221,41 @@ class TestExitCodes:
     def test_usage_error_exits_one_not_two(self, argv, capsys):
         assert main(argv) == 1  # argparse would exit 2, the diverged-trial code
         assert capsys.readouterr().err.startswith("configuration error: triosplit")
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["cs", "--preset", "table1-desk", "--trials", "1"], "task matcomp_synth is not a cs task"),
+        (["matcomp", "--preset", "cs-noise-desk", "--trials", "1"], "task cs_noise is not a matcomp task"),
+        (["cs", "--config", "{task_file}"], "task diagnose is not a cs task"),
+    ])
+    def test_task_of_another_command_exits_one(self, argv, expected, tmp_path, capsys):
+        task_file = tmp_path / "cfg.ini"
+        task_file.write_text("[experiment]\ntask = diagnose\n")
+        argv = [a.format(task_file=task_file) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"configuration error: {expected}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags", [["--s", "inf"], ["--s", "5.5,9"]])
+    def test_non_integral_int_setting_exits_one_without_traceback(self, flags):
+        proc = subprocess.run(
+            [sys.executable, "-m", "triosplit.cli", "cs", "--m", "10", "--n", "40", "--F", "1",
+             "--trials", "1"] + flags, capture_output=True, text=True, env=subprocess_env())
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("configuration error: sparsity_levels must be an integer")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["cs", "--p", "0.5"], ["cs", "--meth", "admm"], ["matcomp", "--rat", "r.dat"],
+        ["diagnose", "--seed", "1"], ["diagnose", "--trials", "2"],
+        ["diagnose", "--preset", "table1-desk"],
+    ])
+    def test_flag_prefix_or_unread_flag_is_a_usage_error(self, argv, capsys):
+        # a prefix was read as the flag it begins (--p as --preset); diagnose
+        # accepted trial flags its task never reads
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: triosplit")
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

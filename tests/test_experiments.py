@@ -92,6 +92,28 @@ class TestConfig:
         assert cfg.sparsity_levels == (2, 3)
         assert cfg.sigmas == (0.0,)
         assert cfg.m == 20
+        assert build_config(overrides={"task": "cs_recovery", "n": "1e3"}).n == 1000
+
+    @pytest.mark.parametrize("setting", [
+        dict(trials="2.5"), dict(trials="inf"), dict(trials=2.5), dict(s="5.5,9"),
+        dict(s="inf"), dict(ranks="2,nan"), dict(seed="abc"),
+    ])
+    def test_int_setting_takes_only_an_integral_value(self, setting):
+        # it was truncated (2.5 ran 2 trials) or overflowed (inf)
+        with pytest.raises(ConfigError, match="must be an integer|must be a number"):
+            build_config(overrides=setting, base={"task": "cs_recovery"})
+
+    @pytest.mark.parametrize("settings, task", [
+        (dict(sigmas=(0.0, 0.01)), "cs_noise"),
+        (dict(sigmas=(0.0,)), "cs_recovery"),
+        (dict(task="cs_noise", sigmas=(0.0,)), "cs_noise"),
+        (dict(task="matcomp_synth", ratings_path="r.dat"), "matcomp_ratings"),
+        (dict(task="matcomp_ratings", ratings_path="r.dat"), "matcomp_ratings"),
+    ])
+    def test_settings_promote_the_task_never_demote_it(self, settings, task):
+        cfg = ExperimentConfig(**{"task": "cs_recovery", **settings})
+        assert cfg.task == task
+        assert cfg.methods == ExperimentConfig(task=task, ratings_path="r.dat").methods
 
     @pytest.mark.parametrize("sigmas", [(0.01, -0.01), (float("nan"),)])
     def test_negative_or_nan_noise_rejected(self, sigmas):
@@ -103,6 +125,7 @@ class TestConfig:
         dict(lam=float("nan")), dict(lam=-1.0), dict(lam=float("inf")),
         dict(k_init=float("nan")), dict(beta=float("nan")), dict(L=float("nan")),
         dict(l=float("nan")), dict(beta=float("inf")),
+        dict(p=float("inf")), dict(test_fraction=float("nan")), dict(sigmas=(0.01, float("inf"))),
     ])
     def test_non_finite_or_negative_solver_setting_rejected(self, setting):
         with pytest.raises(ConfigError, match=next(iter(setting))):
