@@ -13,7 +13,7 @@ import os
 import sys
 
 from .datagen import save_observations
-from .experiments import ConfigError, PRESETS, build_config, run_experiment
+from .experiments import ConfigError, PRESETS, _coerce, build_config, run_experiment
 from .ratings import ingest_ratings
 
 
@@ -24,12 +24,27 @@ CLOSED_PIPE = 141
 _DEFAULT_TASKS = {"matcomp": "matcomp_synth", "cs": "cs_recovery", "diagnose": "diagnose"}
 
 
+def _setting(parser, flag, **kwargs):
+    """Add a flag that sets one numeric ExperimentConfig field. Its type is
+    that field's own coercion, so the flag reads a value as a config file
+    line does ('1e3' is 1000 for an int field), and the parser reports a
+    value it rejects, prefixed with the command and the flag."""
+    action = parser.add_argument(flag, **kwargs)
+
+    def parse(text):
+        try:
+            return _coerce(action.dest, text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    action.type = parse
+
+
 def _add_common(parser, trials=True):
     parser.add_argument("--config", metavar="PATH", help="configuration file (key = value sections)")
     if trials:  # diagnose runs no trials
         parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
-        parser.add_argument("--seed", type=int, help="base seed; trial t uses seed + t")
-        parser.add_argument("--trials", type=int, help="number of trials per grid cell")
+        _setting(parser, "--seed", help="base seed; trial t uses seed + t")
+        _setting(parser, "--trials", help="number of trials per grid cell")
     parser.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
 
@@ -55,29 +70,29 @@ def build_parser():
     mc = sub.add_parser("matcomp", help="matrix-completion experiments")
     _add_common(mc)
     mc.add_argument("--methods", help="comma list from dys,drs,svp,svt")
-    mc.add_argument("--n", type=int, help="matrix size (synthetic)")
-    mc.add_argument("--r", type=int, help="target rank (synthetic)")
-    mc.add_argument("--p", type=float, help="sampling ratio (synthetic)")
-    mc.add_argument("--lam", type=float, help="quadratic tail weight")
-    mc.add_argument("--k", dest="k_init", type=float, help="initial step multiplier")
-    mc.add_argument("--max-iter", dest="max_iter", type=int)
+    _setting(mc, "--n", help="matrix size (synthetic)")
+    _setting(mc, "--r", help="target rank (synthetic)")
+    _setting(mc, "--p", help="sampling ratio (synthetic)")
+    _setting(mc, "--lam", help="quadratic tail weight")
+    _setting(mc, "--k", dest="k_init", help="initial step multiplier")
+    _setting(mc, "--max-iter", dest="max_iter")
     mc.add_argument("--ratings", dest="ratings_path", metavar="PATH",
                     help="ratings file; switches to the held-out ratings task")
     mc.add_argument("--ranks", help="comma list of ranks (ratings task)")
-    mc.add_argument("--test-fraction", dest="test_fraction", type=float)
+    _setting(mc, "--test-fraction", dest="test_fraction")
 
     cs = sub.add_parser("cs", help="sparse-recovery experiments")
     _add_common(cs)
     cs.add_argument("--methods", help="comma list from admm,dca,dys")
-    cs.add_argument("--m", type=int, help="measurement count")
-    cs.add_argument("--n", type=int, help="signal length")
+    _setting(cs, "--m", help="measurement count")
+    _setting(cs, "--n", help="signal length")
     cs.add_argument("--s", dest="sparsity_levels", help="comma list of sparsity levels")
-    cs.add_argument("--F", dest="refinement", type=int, help="cosine-frame refinement factor")
-    cs.add_argument("--min-sep", dest="min_sep", type=int, help="support separation (default 2F)")
+    _setting(cs, "--F", dest="refinement", help="cosine-frame refinement factor")
+    _setting(cs, "--min-sep", dest="min_sep", help="support separation (default 2F)")
     cs.add_argument("--sigma", dest="sigmas", help="comma list of noise levels")
-    cs.add_argument("--lam", type=float, help="sparsity weight for every method")
-    cs.add_argument("--k", dest="k_init", type=float, help="initial step multiplier")
-    cs.add_argument("--max-iter", dest="max_iter", type=int)
+    _setting(cs, "--lam", help="sparsity weight for every method")
+    _setting(cs, "--k", dest="k_init", help="initial step multiplier")
+    _setting(cs, "--max-iter", dest="max_iter")
 
     ing = sub.add_parser("ingest", help="split a ratings file into train/test observation files")
     ing.add_argument("path", help="ratings file (UserID::MovieID::Rating::Timestamp lines)")
@@ -88,9 +103,9 @@ def build_parser():
 
     dg = sub.add_parser("diagnose", help="step-size threshold report")
     _add_common(dg, trials=False)
-    dg.add_argument("--L", type=float, help="smoothness constant of the first term (default 1)")
-    dg.add_argument("--l", type=float, help="weak-convexity modulus of the first term (default 0)")
-    dg.add_argument("--beta", type=float, help="smoothness constant of the third term (default 1)")
+    _setting(dg, "--L", help="smoothness constant of the first term (default 1)")
+    _setting(dg, "--l", help="weak-convexity modulus of the first term (default 0)")
+    _setting(dg, "--beta", help="smoothness constant of the third term (default 1)")
     return parser
 
 

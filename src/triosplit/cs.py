@@ -23,7 +23,7 @@ from .prox import GramSolver, grad_neg_l2, soft_threshold
 # the benchmark hooks run and check_stop here (check_stop is imported only for it)
 from .splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, RunTrace,
                         SplittingState, StoppingRule, ThreeTermProblem, _iterate,
-                        check_stop, max_step_size, run)
+                        _sq_norm, check_stop, max_step_size, run)
 
 SUCCESS_THRESHOLD = 1e-4
 SPARSITY_TRUNCATION = 5e-6
@@ -135,18 +135,22 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=
     Atb = A.T @ b
     rhs_const = Atb if shift is None else Atb + shift
 
+    gap_sq = 0.0  # ||y+ - z+||^2 of the latest step; the difference itself is not kept
+
     def advance(state, t):
+        nonlocal gap_sq
         x = state.x
         y = solver.solve(rho, rhs_const + rho * state.z - x)
         z = soft_threshold(y + x / rho, lam / rho)
-        return SplittingState(x=x + rho * (y - z), y=y, z=z)
+        gap = y - z
+        gap_sq = _sq_norm(gap)
+        return SplittingState(x=x + rho * gap, y=y, z=z)
 
-    def measure(old, new, t):
-        r = float(np.linalg.norm(new.y - new.z))
-        return SimpleNamespace(t=t, dy_norm=float(np.linalg.norm(new.y - old.y)), zy_gap=r,
-                               r_primal=r, s_dual=rho * float(np.linalg.norm(new.z - old.z)),
-                               x_norm=float(np.linalg.norm(new.x)), y_norm=float(np.linalg.norm(new.y)),
-                               z_norm=float(np.linalg.norm(new.z)))
+    def measure(old, new, t, norms):
+        r = math.sqrt(gap_sq)
+        return SimpleNamespace(t=t, dy_norm=math.sqrt(_sq_norm(new.y - old.y)), zy_gap=r,
+                               r_primal=r, s_dual=rho * math.sqrt(_sq_norm(new.z - old.z)),
+                               x_norm=norms[0], y_norm=norms[1], z_norm=norms[2])
 
     start = SplittingState(x=np.zeros(n) if x0 is None else x0.copy(), y=np.zeros(n),
                            z=np.zeros(n) if z0 is None else z0.copy())

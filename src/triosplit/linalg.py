@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -97,8 +98,9 @@ class SvdTriplet:
     From the subspace path, ``basis`` is the n x p right basis the iteration
     ended on, rotated onto its Ritz vectors and so ordered by singular value
     (its first k columns are V), ready to pass as the next call's ``start``,
-    and ``sweeps`` counts the sweeps the call made. The dense path sets
-    neither (None and 0).
+    ``sweeps`` counts the sweeps the call made and ``products`` its products
+    with A or A^T, filter products included. The dense path sets none of
+    them (None, 0 and 0).
     """
 
     U: np.ndarray
@@ -106,6 +108,7 @@ class SvdTriplet:
     V: np.ndarray
     basis: Optional[np.ndarray] = None
     sweeps: int = 0
+    products: int = 0
 
     def reconstruct(self):
         return (self.U * self.S) @ self.V.T
@@ -117,19 +120,21 @@ class SvdWarmStart:
     A solver passes one instance to every SVD-based call it makes; each call
     starts from the ``basis`` the previous one ended on (``truncated_svd``'s
     ``start``) and stores its own with ``keep``, which also adds the call's
-    sweeps to ``sweeps``, the run's total. It is per-run state, like
-    ``prox.GramSolver``: a fresh instance repeats a run exactly, and
-    concurrent runs each need their own.
+    sweeps and products to ``sweeps`` and ``products``, the run's totals. It
+    is per-run state, like ``prox.GramSolver``: a fresh instance repeats a
+    run exactly, and concurrent runs each need their own.
     """
 
     def __init__(self):
         self.basis = None
         self.sweeps = 0
+        self.products = 0
 
     def keep(self, t):
-        """Store the basis an SvdTriplet ended on and add its sweeps."""
+        """Store the basis an SvdTriplet ended on and add its sweeps and products."""
         self.basis = t.basis
         self.sweeps += t.sweeps
+        self.products += t.products
 
 
 START_BLEND = 10.0  # weight of the Gaussian block in a warm start, in units of sqrt(tol)
@@ -153,6 +158,85 @@ def _stays_below(gap, move, last_move, settled_move):
         return False
     rho = max(FLOOR_GUARD_RATIO, move / last_move)
     return gap > move * rho / (1.0 - rho)
+
+
+FILTER_GAIN_CAP = 1e6  # largest gain of a filter on the top value over the k-th
+FILTER_MAX_DEGREE = 16  # most filter steps run on one reading of the values
+
+
+def _log_cosh(y):
+    """log cosh y for y >= 0, finite wherever y is."""
+    return y + math.log1p(math.exp(-2.0 * y)) - math.log(2.0)
+
+
+def _log_expm1(y):
+    """log(exp(y) - 1) for y > 0, finite wherever y is."""
+    return y + math.log(-math.expm1(-y))
+
+
+def _filter_degree(theta, k, change, last, tol):
+    """Degree of the Chebyshev filter to run before the next sweep; 0 for none.
+
+    ``theta`` are the p values the last sweep read, ``change`` the relative
+    move of the k leading ones it saw and ``last`` the degree of the filter
+    that ran before it. The filter T_d(2 A^T A / theta_p^2 - 1) damps the
+    eigenvalues [0, theta_p^2] of A^T A and scales the direction of a value
+    s above them by T_d(2 s^2 / theta_p^2 - 1). With theta_p standing in for
+    the first value outside the basis, a sweep after a degree-d filter
+    shrinks the error of the k-th value by exp(-rate(d)), rate(d) =
+    2 log((theta_k / theta_p)^2 T_d(t_k)): the square of what it does to
+    that direction, as the value error is quadratic in the direction error.
+    With T_d(cosh x) = cosh(d x), these are computed from x_k = acosh(t_k)
+    = 2 acosh(theta_k / theta_p), which cannot overflow.
+
+    The last change then puts the error at change / (exp(rate(last)) - 1),
+    and a plain sweep settles once the error is below
+    tol / (1 - exp(-rate(0))). Reaching that takes ceil(log(error / that) /
+    rate(d)) sweeps at degree d, each costing 2 + 2d products, and one plain
+    sweep more sees the change fall below tol. The degree returned is the
+    cheapest in products, the lowest on a tie, among those up to
+    FILTER_MAX_DEGREE whose gain on theta_1 over theta_k, T_d(t_1) / T_d(t_k),
+    is at most FILTER_GAIN_CAP: the QR after the filter then keeps about
+    16 - 6 = 10 digits of the directions of theta_k next to that of theta_1.
+    The degree cap bounds what one reading of unsettled values may commit:
+    with theta_k within 1e-6 of theta_p the model would ask for thousands.
+    """
+    top, kth, edge = theta[0], theta[k - 1], theta[-1]
+    if not (edge > 0 and kth > edge):
+        return 0
+    plain = 4.0 * math.log(kth / edge)
+    xk, x1 = 2.0 * math.acosh(kth / edge), 2.0 * math.acosh(top / edge)
+
+    def rate(d):
+        return plain + 2.0 * _log_cosh(d * xk) if d else plain
+
+    need = (math.log(change) - _log_expm1(rate(last))
+            - math.log(tol) - math.log(-math.expm1(-plain)))
+    if need <= 0:
+        return 0
+    best, cost = 0, 2 * math.ceil(need / plain)
+    for d in range(1, FILTER_MAX_DEGREE + 1):
+        if (2 * (1 + d) >= cost
+                or _log_cosh(d * x1) - _log_cosh(d * xk) > math.log(FILTER_GAIN_CAP)):
+            break
+        c = 2 * (1 + d) * math.ceil(need / rate(d))
+        if c < cost:
+            best, cost = d, c
+    return best
+
+
+def _chebyshev_filter(A, V, degree, edge):
+    """T_degree(2 A^T A / edge^2 - 1) V by the three-term recurrence; each
+    step is one product with A and one with A^T, formed thin factor first."""
+    scale = math.sqrt(2.0) / edge
+
+    def step(Y):  # (2 A^T A / edge^2 - 1) Y
+        return (((Y.T @ A.T) * scale) @ A).T * scale - Y
+
+    prev, cur = V, step(V)
+    for _ in range(degree - 1):
+        prev, cur = cur, 2.0 * step(cur) - prev
+    return cur
 
 
 def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, start=None,
@@ -185,9 +269,19 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     factor times A or its transpose, ``(V^T A^T)^T`` and ``Q^T A``, the
     faster order for the BLAS. A cold call takes its basis from a seeded
     Gaussian block G (n x p) through one half-step each way,
-    ``V = qr(A^T qr(A G))``, so it sweeps exactly as the classical iteration
-    that orthonormalizes both ``A V`` and ``A^T Q`` and reads the values
-    from the SVD of ``Q^T A``.
+    ``V = qr(A^T qr(A G))``, so its plain sweeps are those of the classical
+    iteration that orthonormalizes both ``A V`` and ``A^T Q`` and reads the
+    values from the SVD of ``Q^T A``.
+
+    A plain sweep shrinks the error of the k-th direction by
+    (sigma_{p+1} / sigma_k)^2, slowly when the k-th value sits at the edge
+    of a bulk. Without a ``floor``, a sweep from the third on may follow a
+    Chebyshev filter on A^T A (Zhou and Saad, J. Comput. Phys. 2007) whose
+    degree a cost model picks from the last sweep's values (see
+    _filter_degree); it makes the values move further per product, and the
+    settle test and ``tol`` are unchanged. A ``floor`` call sweeps plainly:
+    its guard extrapolates from the ratio of an estimate's last two moves,
+    which a filter of varying degree would break.
 
     ``start`` (n x c), usually the ``basis`` returned by a call on a nearby
     matrix, replaces those half-steps: its first min(c, p) columns are
@@ -199,9 +293,9 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     spectrum 10, 9, 8, 5, ... a start orthogonal to v1 gives 9, 8, 5). With
     it, that direction has a component of order sqrt(tol) that grows every
     sweep and moves the values by more than ``tol`` until it is captured.
-    That needs the missed value to lead the (p+1)-th clearly (10 against 5
-    does; 5.5 against 5 did not), so starts should come from nearby
-    matrices. The result depends on the start only to within the settling
+    With plain sweeps that needs the missed value to lead the (p+1)-th
+    clearly (10 against 5 does; 5.5 against 5 does not, while a filtered
+    call finds 5.5), so starts should come from nearby matrices. The result depends on the start only to within the settling
     tolerance, as it depends on the seed.
 
     Parameters
@@ -217,7 +311,8 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     floor : float, optional; settle only the values above it (see above)
 
     Returns an SvdTriplet; on the subspace path its ``basis`` is the final
-    rotated V and ``sweeps`` the number of sweeps made.
+    rotated V, ``sweeps`` the number of sweeps made and ``products`` the
+    number of products with A or A^T.
     """
     A = as_matrix(A)
     m, n = A.shape
@@ -234,6 +329,7 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     if start is None:
         Q = np.linalg.qr((G.T @ A.T).T)[0]
         V = np.linalg.qr((Q.T @ A).T)[0]
+        products = 2
     else:
         start = as_matrix(start)
         if start.shape[0] != n:
@@ -242,12 +338,18 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
         V = G.copy()
         blend = START_BLEND * np.sqrt(tol) * np.linalg.norm(start[:, :c])
         V[:, :c] = start[:, :c] + (blend / np.linalg.norm(G[:, :c])) * G[:, :c]
+        products = 0
     prev = moves = None
     change = np.inf
+    degree = 0
     for sweep in range(1, max_sweeps + 1):
+        if degree:
+            V = _chebyshev_filter(A, V, degree, theta[-1])
         Q = np.linalg.qr((V.T @ A.T).T)[0]
         V, R = np.linalg.qr((Q.T @ A).T)
-        top = np.linalg.svd(R, compute_uv=False)[:k]
+        products += 2 + 2 * degree
+        theta = np.linalg.svd(R, compute_uv=False)
+        top = theta[:k]
         if prev is not None:
             scale = max(top[0], np.finfo(float).tiny)
             moves, last = np.abs(top - prev), moves
@@ -264,7 +366,9 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
                 Ur, s, Vrt = np.linalg.svd(R)
                 V = V @ Ur
                 return SvdTriplet(Q @ Vrt[:k].T, s[:k].copy(), V[:, :k].copy(),
-                                  basis=V, sweeps=sweep)
+                                  basis=V, sweeps=sweep, products=products)
+            if floor is None:
+                degree = _filter_degree(theta, k, change, degree, tol)
         prev = top
     raise TruncatedSvdError(
         f"singular values did not settle below {tol} in {max_sweeps} sweeps "

@@ -66,6 +66,7 @@ class CompletionResult:
     trace: RunTrace
     relative_error: Optional[float] = None
     svd_sweeps: int = 0  # sweeps of the SVDs the run's SvdWarmStart kept (not energy checks)
+    svd_products: int = 0  # their products with the operand or its transpose
 
 
 def default_masked_rule(max_iter=2000):
@@ -140,7 +141,7 @@ def _engine_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     err = relative_error(res.state.z, M_true) if M_true is not None else None
     return CompletionResult(X_opt=res.state.z, iterations=len(res.trace),
                             status=res.status, trace=res.trace, relative_error=err,
-                            svd_sweeps=warm.sweeps)
+                            svd_sweeps=warm.sweeps, svd_products=warm.products)
 
 
 def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
@@ -187,15 +188,15 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
         Y.reshape(-1)[obs.flat] = Y.take(obs.flat) - step * (X.take(obs.flat) - obs.values)
         return (rank_projection(Y, r, warm=warm),)
 
-    def measure(old, new, t):
+    def measure(old, new, t, norms):
         return SimpleNamespace(t=t, gamma=step, dy_norm=float(np.linalg.norm(new[0] - old[0])),
-                               x_norm=float(np.linalg.norm(new[0])),
-                               stop_metric=_masked_metric(new[0], obs))
+                               x_norm=norms[0], stop_metric=_masked_metric(new[0], obs))
 
     (X,), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),), rule)
     err = relative_error(X, M_true) if M_true is not None else None
     return CompletionResult(X_opt=X, iterations=len(trace), status=status,
-                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps)
+                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps,
+                            svd_products=warm.products)
 
 
 def shrink_singular_values(X, tau, start_k=4, warm=None):
@@ -260,13 +261,12 @@ def svt_complete(inst, rule=None, M_true=None):
         Y_new, X_new, rank = svt_step(state[0], obs, tau, delta, start_k=rank + 4, warm=warm)
         return X_new, Y_new
 
-    def measure(old, new, t):
-        X_new, Y_new = new
-        return SimpleNamespace(t=t, gamma=delta, dy_norm=float(np.linalg.norm(Y_new - old[1])),
-                               x_norm=float(np.linalg.norm(X_new)),
-                               stop_metric=_masked_metric(Y_new, obs))
+    def measure(old, new, t, norms):
+        return SimpleNamespace(t=t, gamma=delta, dy_norm=float(np.linalg.norm(new[1] - old[1])),
+                               x_norm=norms[0], stop_metric=_masked_metric(new[1], obs))
 
     (_, Y), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),) * 2, rule)
     err = relative_error(Y, M_true) if M_true is not None else None
     return CompletionResult(X_opt=Y, iterations=len(trace), status=status,
-                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps)
+                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps,
+                            svd_products=warm.products)

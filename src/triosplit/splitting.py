@@ -186,6 +186,11 @@ class RunResult(NamedTuple):
 def dys_step(problem, state, gamma):
     """One pass of the three-operator iteration at step size gamma; an
     oracle output y or z whose shape differs from x's raises ValueError."""
+    return _dys_step(problem, state, gamma)[0]
+
+
+def _dys_step(problem, state, gamma):
+    """dys_step's new state and the difference z+ - y+ its x update adds."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     x = state.x
@@ -193,7 +198,14 @@ def dys_step(problem, state, gamma):
     z1 = problem.prox_g(2.0 * y1 - gamma * problem.grad_h(y1) - x, gamma)
     if not (y1.shape == z1.shape == x.shape):
         raise ValueError("x, y, z must share one shape")
-    return SplittingState(x=x + (z1 - y1), y=y1, z=z1)
+    gap = z1 - y1
+    return SplittingState(x=x + gap, y=y1, z=z1), gap
+
+
+def _sq_norm(a):
+    """||a||^2 as np.linalg.norm sums it, so its square root has norm's bits."""
+    flat = a.ravel(order="K")
+    return flat.dot(flat)
 
 
 def _descent_cubic(L, l, beta):
@@ -341,21 +353,24 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
 
     x0 = np.asarray(x0, dtype=float)
     start = SplittingState(x0, x0, x0)
+    zy_sq = 0.0  # ||z+ - y+||^2 of the latest step; the difference itself is not kept
 
     def advance(state, t):
+        nonlocal zy_sq
         try:
-            return dys_step(problem, state, cur_gamma)
+            new, gap = _dys_step(problem, state, cur_gamma)
         except Exception as exc:
             raise OracleError(f"oracle failure at iteration {t} (gamma={cur_gamma!r})") from exc
+        zy_sq = _sq_norm(gap)
+        return new
 
-    def measure(old, new, t):
+    def measure(old, new, t, norms):
         nonlocal cur_gamma
-        zy = float(np.linalg.norm(new.z - new.y))
-        row = SimpleNamespace(t=t, gamma=cur_gamma, dy_norm=float(np.linalg.norm(new.y - old.y)),
-                              zy_gap=zy, r_primal=zy, s_dual=float(np.linalg.norm(new.z - old.z)),
-                              x_norm=float(np.linalg.norm(new.x)), y_norm=float(np.linalg.norm(new.y)),
-                              z_norm=float(np.linalg.norm(new.z)),
-                              y_inf=float(np.max(np.abs(new.y))) if new.y.size else 0.0)
+        zy = math.sqrt(zy_sq)
+        row = SimpleNamespace(t=t, gamma=cur_gamma, dy_norm=math.sqrt(_sq_norm(new.y - old.y)),
+                              zy_gap=zy, r_primal=zy, s_dual=math.sqrt(_sq_norm(new.z - old.z)),
+                              x_norm=norms[0], y_norm=norms[1], z_norm=norms[2],
+                              y_inf=float(max(new.y.max(), -new.y.min())) if new.y.size else 0.0)
         if record_energy:
             row.energy = float(energy(problem, new, cur_gamma))
         if stop_metric is not None:
@@ -371,22 +386,27 @@ def _iterate(advance, measure, start, rule):
     """The one iteration loop behind every solver; returns a RunResult.
 
     advance(state, t) returns iteration t's state, a tuple of arrays (a
-    SplittingState or a plain tuple); measure(old, new, t) returns its trace
-    row (see RunTrace) once every array of the new state is finite.
-    check_stop scales its tolerances by the size of the state's first array. A
-    non-finite state ends the run diverged, keeping the last finite state
-    and not counting the failed iteration, so the count is always
-    len(trace); a recorded y_inf above 1e30 ends it diverged at that state.
+    SplittingState or a plain tuple); measure(old, new, t, norms) returns
+    its trace row (see RunTrace) once every array of the new state is
+    finite, given the arrays' Frobenius norms, bit for bit those of
+    np.linalg.norm. check_stop scales its tolerances by the size of the
+    state's first array. A non-finite state ends the run diverged, keeping
+    the last finite state and not counting the failed iteration, so the
+    count is always len(trace); a recorded y_inf above 1e30 ends it diverged
+    at that state. The finiteness test reads each array's squared norm and
+    scans the entries only when that sum is not finite, which also happens
+    when finite entries overflow it.
     """
     dims = start[0].size
     trace = RunTrace()
     state = start
     for t in range(1, rule.max_iter + 1):
         new = advance(state, t)
-        for array in new:
-            if not np.isfinite(array).all():
+        squares = [_sq_norm(array) for array in new]
+        for array, sq in zip(new, squares):
+            if not math.isfinite(sq) and not np.isfinite(array).all():
                 return RunResult(state, trace, DIVERGED)
-        row = measure(state, new, t)
+        row = measure(state, new, t, [math.sqrt(sq) for sq in squares])
         trace.append(row)
         state = new
         if getattr(row, "y_inf", 0.0) > 1e30:

@@ -115,6 +115,23 @@ class TestMatcompCommand:
         assert code == 0
         assert out.read_text().splitlines()[0] == "#schema=matcomp_ratings.v1"
 
+    def test_flag_reads_a_value_as_a_config_file_does(self, tmp_path, monkeypatch):
+        # the flag was typed by argparse's int(), which rejects 1e3
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return ResultTable("matcomp_synth.v1", ("record",))
+
+        monkeypatch.setattr("triosplit.cli.run_experiment", capture)
+        path = tmp_path / "cfg.ini"
+        path.write_text("[instance]\nn = 1e3\n")
+        out = str(tmp_path / "x.csv")
+        assert main(["matcomp", "--n", "1e3", "--out", out]) == 0
+        assert main(["matcomp", "--config", str(path), "--out", out]) == 0
+        assert seen[0] == seen[1]
+        assert seen[0].n == 1000
+
     def test_ratings_path_switches_task_from_any_source(self, tmp_path, capsys):
         # a config file's ratings_path, or --ratings beside a synthetic preset,
         # was ignored and a synthetic table written

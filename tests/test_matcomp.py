@@ -255,11 +255,12 @@ class TestShrinkageOnTheSubspacePath:
 
 
 class SvdCalls:
-    """Wraps truncated_svd where the solvers look it up, counting sweeps;
-    with cold=True every start basis is dropped, so each SVD is one-shot."""
+    """Wraps truncated_svd where the solvers look it up, counting sweeps and
+    products; with cold=True every start basis is dropped, so each SVD is
+    one-shot."""
 
     def __init__(self, monkeypatch, cold):
-        self.sweeps = 0
+        self.sweeps = self.products = 0
         self.cold = cold
         for module in (prox, matcomp):
             monkeypatch.setattr(module, "truncated_svd", self)
@@ -269,6 +270,7 @@ class SvdCalls:
             kwargs["start"] = None
         t = linalg.truncated_svd(A, k, **kwargs)
         self.sweeps += t.sweeps
+        self.products += t.products
         return t
 
 
@@ -295,6 +297,7 @@ class TestWarmStart:
         calls = SvdCalls(monkeypatch, cold=False)
         res = solver(inst, M_true=M)
         assert res.svd_sweeps == calls.sweeps > 0
+        assert res.svd_products == calls.products >= 2 * calls.sweeps
 
     def test_warm_shrinkage_halves_svd_sweeps(self, tiny_instance, monkeypatch):
         inst, M = tiny_instance

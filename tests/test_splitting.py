@@ -689,7 +689,8 @@ class TestIterate:
         return advance
 
     @staticmethod
-    def measure(old, new, t):
+    def measure(old, new, t, norms):
+        assert norms == [np.linalg.norm(a) for a in new]  # bit for bit
         return SimpleNamespace(t=t, stop_metric=1.0 / t, y_inf=float(np.max(new[0])))
 
     def test_nonfinite_step_keeps_last_finite_state(self):
@@ -699,12 +700,15 @@ class TestIterate:
         assert len(trace) == 2
         assert np.array_equal(state[0], np.full(2, 4.0))
 
-    def test_recorded_blowup_keeps_that_state(self):
-        state, trace, status = _iterate(self.doubling(3, 1e31), self.measure, (np.ones(2),),
+    # at 1e200 the entries are finite but their squared norm overflows, so
+    # the finiteness test must fall back to reading the entries
+    @pytest.mark.parametrize("value", [1e31, 1e200])
+    def test_recorded_blowup_keeps_that_state(self, value):
+        state, trace, status = _iterate(self.doubling(3, value), self.measure, (np.ones(2),),
                                         StoppingRule(max_iter=10))
         assert status == DIVERGED
         assert len(trace) == 3
-        assert trace.last.y_inf == 4e31
+        assert trace.last.y_inf == 4 * value
 
     def test_stop_test_reads_the_new_row(self):
         rule = StoppingRule(eps_rel=0.2, max_iter=10)
