@@ -184,13 +184,12 @@ class RunResult(NamedTuple):
 
 
 def dys_step(problem, state, gamma):
-    """One pass of the three-operator iteration at step size gamma; an
-    oracle output y or z whose shape differs from x's raises ValueError."""
-    return _dys_step(problem, state, gamma)[0]
+    """One pass of the three-operator iteration at step size gamma.
 
-
-def _dys_step(problem, state, gamma):
-    """dys_step's new state and the difference z+ - y+ its x update adds."""
+    Returns the new SplittingState and the difference z+ - y+ that its x
+    update adds. An oracle output y or z whose shape differs from x's
+    raises ValueError.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     x = state.x
@@ -358,7 +357,7 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
     def advance(state, t):
         nonlocal zy_sq
         try:
-            new, gap = _dys_step(problem, state, cur_gamma)
+            new, gap = dys_step(problem, state, cur_gamma)
         except Exception as exc:
             raise OracleError(f"oracle failure at iteration {t} (gamma={cur_gamma!r})") from exc
         zy_sq = _sq_norm(gap)

@@ -197,7 +197,7 @@ def test_criterion_05_reduction_equivalence():
     state = SplittingState(x0, x0, x0)
     worst_two = 0.0
     for t in range(200):
-        state = dys_step(two_block, state, gamma)
+        state, _ = dys_step(two_block, state, gamma)
         rx, ry, rz = ref[t]
         worst_two = max(worst_two,
                         np.max(np.abs(state.x - rx)),
@@ -212,7 +212,7 @@ def test_criterion_05_reduction_equivalence():
     state = SplittingState(x0, x0, x0)
     worst_fbs = 0.0
     for t in range(200):
-        state = dys_step(gradient_only, state, 0.5)
+        state, _ = dys_step(gradient_only, state, 0.5)
         worst_fbs = max(worst_fbs, np.max(np.abs(state.x - ref_fbs[t])))
     ok = worst_two <= 1e-12 and worst_fbs <= 1e-12
     report(5, ok, f"two-block max dev {worst_two:.2e}; gradient-case max dev {worst_fbs:.2e}")

@@ -187,14 +187,15 @@ class TestTruncatedSvdFloor:
         return (U * s) @ V.T, s
 
     def test_settles_the_values_above_the_floor_in_fewer_products(self):
-        # every value lies above a zero floor, so that call settles all eight
-        # with the same plain sweeps; a call without a floor may filter instead
         A, s = self.straddling()
-        full = truncated_svd(A, 8, floor=0.0)
+        full = truncated_svd(A, 8)
         t = truncated_svd(A, 8, floor=1.0)
         assert np.max(np.abs(t.S[:5] - s[:5])) < 10 * 1e-10 * s[0]
         assert t.S[5] <= 1.0
         assert t.products < full.products
+        # every value lies above a zero floor, so that call settles all eight
+        # with plain sweeps, as the floor call does
+        assert t.products < truncated_svd(A, 8, floor=0.0).products
 
     def test_zero_matrix_at_a_zero_floor(self):
         t = truncated_svd(np.zeros((80, 70)), 4, dense_cutoff=0, floor=0.0)

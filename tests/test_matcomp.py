@@ -94,7 +94,7 @@ class TestDysComplete:
         state = SplittingState(*[np.zeros(inst.shape)] * 3)
         for _ in range(5):
             prev_x = state.x
-            state = dys_step(problem, state, gamma)
+            state, _ = dys_step(problem, state, gamma)
             s = np.linalg.svd(state.z, compute_uv=False)
             assert s[inst.r] < 1e-8 * s[0]
             ref = prox_masked_quadratic(prev_x, inst.obs, gamma)

@@ -88,7 +88,7 @@ class TestDysStep:
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal(5)
         state = SplittingState(x0, x0, x0)
-        new = dys_step(zero_problem(), state, 0.3)
+        new, _ = dys_step(zero_problem(), state, 0.3)
         assert np.array_equal(new.x, x0)
         assert np.array_equal(new.y, x0)
         assert np.array_equal(new.z, x0)
@@ -104,7 +104,7 @@ class TestDysStep:
         gamma = 0.4
         x0 = rng.standard_normal(n)
         ref = fbs_reference(prox_g, grad_h, x0, gamma, iters=1)[0]
-        new = dys_step(problem, SplittingState(x0, x0, x0), gamma)
+        new, _ = dys_step(problem, SplittingState(x0, x0, x0), gamma)
         assert np.allclose(new.x, ref, atol=1e-14)
         assert np.array_equal(new.z, new.x)
 
@@ -119,7 +119,7 @@ class TestDysStep:
         gamma = 0.25
         x0 = rng.standard_normal(n)
         ref_x, ref_y, ref_z = drs_reference(prox_f, prox_g, x0, gamma, iters=1)[0]
-        new = dys_step(problem, SplittingState(x0, x0, x0), gamma)
+        new, _ = dys_step(problem, SplittingState(x0, x0, x0), gamma)
         assert np.array_equal(new.x, ref_x)
         assert np.array_equal(new.y, ref_y)
         assert np.array_equal(new.z, ref_z)
@@ -554,7 +554,8 @@ class TestIdentities:
         x0 = rng.standard_normal(5)
         state = SplittingState(x0, x0, x0)
         for _ in range(30):
-            new = dys_step(problem, state, 0.1)
+            new, step_gap = dys_step(problem, state, 0.1)
+            assert np.array_equal(step_gap, new.z - new.y)
             gap = (new.x - state.x) - (new.z - new.y)
             assert np.max(np.abs(gap)) <= 1e-12 * max(1.0, np.max(np.abs(new.x)))
             state = new
@@ -574,7 +575,7 @@ class TestReductionEquivalence:
         ref = drs_reference(prox_f, prox_g, x0, gamma, iters=200)
         state = SplittingState(x0, x0, x0)
         for t in range(200):
-            state = dys_step(problem, state, gamma)
+            state, _ = dys_step(problem, state, gamma)
             rx, ry, rz = ref[t]
             assert np.max(np.abs(state.x - rx)) <= 1e-12
             assert np.max(np.abs(state.y - ry)) <= 1e-12
@@ -593,7 +594,7 @@ class TestReductionEquivalence:
         ref = fbs_reference(prox_g, grad_h, x0, gamma, iters=200)
         state = SplittingState(x0, x0, x0)
         for t in range(200):
-            state = dys_step(problem, state, gamma)
+            state, _ = dys_step(problem, state, gamma)
             assert np.max(np.abs(state.x - ref[t])) <= 1e-12
 
 
