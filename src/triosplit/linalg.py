@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,7 +53,8 @@ class ObservationSet:
     in C order whatever its memory layout, and write them into a fresh
     C-contiguous array Y with ``Y.reshape(-1)[flat] = v``, through a flat
     view. Both touch the same entries as ``X[rows, cols]`` at a fraction of
-    the cost of 2-D fancy indexing.
+    the cost of 2-D fancy indexing. ``values_norm`` is the Frobenius norm
+    of the values, the denominator of every masked relative residual.
     """
 
     rows: np.ndarray
@@ -60,6 +62,7 @@ class ObservationSet:
     values: np.ndarray
     shape: tuple
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    values_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -86,6 +89,7 @@ class ObservationSet:
         object.__setattr__(self, "flat", flat)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
+        object.__setattr__(self, "values_norm", np.linalg.norm(values))
 
     def __len__(self):
         return len(self.values)
@@ -239,6 +243,16 @@ def _chebyshev_filter(A, V, degree, edge):
     return cur
 
 
+@functools.lru_cache(maxsize=8)
+def _gaussian_block(n, p, seed):
+    """truncated_svd's seeded n x p Gaussian block for an int seed, drawn
+    once per (n, p, seed) rather than once per call, and read-only because
+    every call with those arguments shares it."""
+    G = np.random.default_rng(seed).standard_normal((n, p))
+    G.setflags(write=False)
+    return G
+
+
 def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, start=None,
                   floor=None):
     """Top-k singular triplet of a dense matrix.
@@ -325,7 +339,10 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
         return SvdTriplet(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
 
     p = min(k + 8, min(m, n))
-    G = np.random.default_rng(seed).standard_normal((n, p))
+    if isinstance(seed, (int, np.integer)):
+        G = _gaussian_block(n, p, int(seed))
+    else:
+        G = np.random.default_rng(seed).standard_normal((n, p))
     if start is None:
         Q = np.linalg.qr((G.T @ A.T).T)[0]
         V = np.linalg.qr((Q.T @ A).T)[0]
@@ -385,7 +402,7 @@ def masked_relative_residual(X, obs):
     X = as_matrix(X)
     if X.shape != obs.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {obs.shape}")
-    den = np.linalg.norm(obs.values)
+    den = obs.values_norm
     if den == 0.0:
         raise ValueError("observed entries are all zero; relative residual undefined")
     num = np.linalg.norm(X.take(obs.flat) - obs.values)

@@ -1,13 +1,15 @@
 """Matrix-completion solvers.
 
-The main solver runs the three-operator engine on the rank-constrained
+The main solver runs the three-operator iteration on the rank-constrained
 completion objective
 
     0.5 * ||masked(X) - data||^2  +  indicator(rank <= r)  +  (lam/2)*||X||^2
 
 whose three blocks give a masked averaging prox, a rank projection, and a
-linear gradient. Dropping the quadratic tail (lam = 0) recovers classical
-Douglas-Rachford splitting on the same constraint set. Two baselines are
+linear gradient. Its iterates are those of splitting.run, carried as a
+dense rank-r matrix plus a vector on the mask (see _masked_complete).
+Dropping the quadratic tail (lam = 0) recovers classical Douglas-Rachford
+splitting on the same constraint set. Two baselines are
 included: projected gradient descent with rank truncation (svp_complete)
 and singular-value shrinkage with a dual update on the mask (svt_complete).
 """
@@ -23,10 +25,12 @@ import numpy as np
 
 from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
                      masked_relative_residual, truncated_svd)
+# prox_masked_quadratic, run and check_stop are imported only for the
+# benchmark's hooks on them here (bench/tracing.py); the solvers call none
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
-# the benchmark hooks run and check_stop here (check_stop is imported only for it)
-from .splitting import (DEFAULT_K, RunTrace, StoppingRule, ThreeTermProblem,
-                        _iterate, check_stop, run)
+from .splitting import (DEFAULT_K, RunTrace, SplittingState, StoppingRule,
+                        ThreeTermProblem, _iterate, _sq_norm, _StepPolicy,
+                        check_stop, energy, run)
 
 DEFAULT_LAMBDA = 1.5e-6
 MASKED_TOL = 1e-4
@@ -95,53 +99,113 @@ def rmse(X, test_obs):
 def _masked_metric(X, obs):
     # relative misfit on the mask; degenerate all-zero data falls back to the
     # absolute misfit so a zero instance reads as solved at X = 0
-    if np.linalg.norm(obs.values) == 0.0:
+    if obs.values_norm == 0.0:
         return float(np.linalg.norm(X.take(obs.flat)))
     return masked_relative_residual(X, obs)
 
 
-def _completion_problem(inst, lam, with_energy, warm):
-    """The completion objective with tail weight lam: its masked misfit has a
-    1-Lipschitz gradient and is convex (L = 1, l = 0), and grad H = lam * X is
-    lam-Lipschitz (beta = lam)."""
-    obs, r = inst.obs, inst.r
-
-    def prox_f(X, g):
-        return prox_masked_quadratic(X, obs, g)
-
-    def prox_g(V, g):
-        return rank_projection(V, r, warm=warm)
-
-    def grad_h(X):
-        return grad_frobenius_reg(X, lam)
-
-    values = {}
-    if with_energy:
-        values = dict(
-            value_f=lambda X: 0.5 * float(np.sum((X.take(obs.flat) - obs.values) ** 2)),
-            # the engine evaluates g only at outputs of prox_g, rank_projection,
-            # whose rank is at most r by construction: g, the rank-r indicator, is 0
-            value_g=lambda Z: 0.0,
-            value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)),
-        )
-    return ThreeTermProblem(prox_f=prox_f, prox_g=prox_g, grad_h=grad_h,
-                            L=1.0, l=0.0, beta=lam, **values)
+def _objective_values(obs, lam):
+    """The completion objective with tail weight lam, for splitting.energy,
+    which reads only the value oracles and grad H: the solvers take their
+    proxes in place (see _masked_complete), so the bundle carries none. The
+    masked misfit has a 1-Lipschitz gradient and is convex (L = 1, l = 0),
+    and grad H = lam * X is lam-Lipschitz (beta = lam)."""
+    return ThreeTermProblem(
+        prox_f=None, prox_g=None, grad_h=lambda X: grad_frobenius_reg(X, lam),
+        L=1.0, l=0.0, beta=lam,
+        value_f=lambda X: 0.5 * float(np.sum((X.take(obs.flat) - obs.values) ** 2)),
+        # energy is evaluated only at outputs of rank_projection, whose rank
+        # is at most r by construction: g, the rank-r indicator, is 0
+        value_g=lambda Z: 0.0,
+        value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)))
 
 
-def _engine_complete(inst, lam, gamma, rule, k, M_true, with_energy):
+def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
+    """The three-operator iteration on the completion objective, carried as
+    a dense rank-r z and one vector s on the mask.
+
+    The first prox is a masked average, so off the mask y+ = x and
+    x+ = z+; the state (z, s) stands for x = z off the mask and
+    x = z - s on it. A step writes the projection argument
+    2 y - gamma * lam * y - x, which is (1 - gamma * lam) * z off the mask,
+    as one dense array, and measures the row from ||z+||, the one dense
+    difference z+ - z and vectors on the mask. Off the mask, z+ - y+ is
+    that difference and y+ - y the previous step's; y = z_prev there, so
+    y_inf is exact. No dense x or y is formed unless with_energy asks.
+    """
     if rule is None:
         rule = default_masked_rule()
+    obs, flat = inst.obs, inst.obs.flat
+    objective = _objective_values(obs, lam)
+    steps = _StepPolicy(objective.L, objective.l, objective.beta,
+                        gamma=gamma, k=None if gamma is not None else k)
     warm = SvdWarmStart()  # one per run: each projection starts where the last ended
-    problem = _completion_problem(inst, lam, with_energy, warm)
-    x0 = np.zeros(inst.shape)
-    # the masked stop watches the rank-feasible iterate, the same estimate the
-    # baselines test and the one reported as the solution
-    res = run(problem, x0, gamma=gamma, k=None if gamma is not None else k, rule=rule,
-              stop_metric=lambda s: _masked_metric(s.z, inst.obs))
-    err = relative_error(res.state.z, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=res.state.z, iterations=len(res.trace),
-                            status=res.status, trace=res.trace, relative_error=err,
-                            svd_sweeps=warm.sweeps, svd_products=warm.products)
+    # what the next row reads of the current state besides z itself: z and the
+    # latest y on the mask, and off it ||z - z_prev||^2, ||z||^2 and max |z|
+    last = SimpleNamespace(z_on=np.zeros(len(obs)), y_on=np.zeros(len(obs)),
+                           dz_off_sq=0.0, z_off_sq=0.0, z_off_inf=0.0)
+    y_on = None
+
+    def advance(state, t):
+        nonlocal y_on
+        z, s = state
+        g = steps.gamma
+        try:
+            if g <= 0:
+                raise ValueError("gamma must be positive")
+            x_on = last.z_on - s
+            y_on = (x_on + g * obs.values) / (1.0 + g)
+            arg = np.multiply(z, 1.0 - g * lam, order="C")
+            arg.reshape(-1)[flat] = 2.0 * y_on - g * (lam * y_on) - x_on
+            z_new = rank_projection(arg, inst.r, warm=warm)
+        except Exception as exc:
+            raise steps.failure(t) from exc
+        return z_new, y_on - x_on
+
+    def measure(old, new, t, norms):
+        (z, _), (z_new, s_new) = old, new
+        z_on = z_new.take(flat)
+        diff = z_new - z
+        diff.reshape(-1)[flat] = 0.0
+        dz_off_sq = _sq_norm(diff)
+        del diff
+        # max |z+| off the mask: zero its mask entries in place, then restore
+        # them (rank_projection returns a C-ordered array, so this is a view)
+        flat_z = z_new.reshape(-1)
+        flat_z[flat] = 0.0
+        z_off_inf = float(max(z_new.max(), -z_new.min()))
+        flat_z[flat] = z_on
+        z_off_sq = max(norms[0] ** 2 - _sq_norm(z_on), 0.0)
+        x_on = z_on - s_new
+        zy = math.sqrt(dz_off_sq + _sq_norm(z_on - y_on))
+        row = SimpleNamespace(
+            t=t, gamma=steps.gamma, dy_norm=math.sqrt(last.dz_off_sq + _sq_norm(y_on - last.y_on)),
+            zy_gap=zy, r_primal=zy, s_dual=math.sqrt(dz_off_sq + _sq_norm(z_on - last.z_on)),
+            x_norm=math.sqrt(z_off_sq + _sq_norm(x_on)),
+            y_norm=math.sqrt(last.z_off_sq + _sq_norm(y_on)), z_norm=norms[0],
+            y_inf=max(last.z_off_inf, float(np.abs(y_on).max())))
+        if with_energy:
+            x, y = z_new.copy(), z.copy()
+            x.reshape(-1)[flat] = x_on
+            y.reshape(-1)[flat] = y_on
+            row.energy = float(energy(objective, SplittingState(x, y, z_new), steps.gamma))
+        # the masked stop watches the rank-feasible iterate, the same estimate
+        # the baselines test and the one reported as the solution; this is
+        # _masked_metric(z_new, obs), read from z_new's entries on the mask
+        if obs.values_norm == 0.0:
+            row.stop_metric = float(np.linalg.norm(z_on))
+        else:
+            row.stop_metric = float(np.linalg.norm(z_on - obs.values) / obs.values_norm)
+        steps.update(row)
+        last.z_on, last.y_on = z_on, y_on
+        last.dz_off_sq, last.z_off_sq, last.z_off_inf = dz_off_sq, z_off_sq, z_off_inf
+        return row
+
+    (z, _), trace, status = _iterate(advance, measure, (np.zeros(inst.shape), np.zeros(len(obs))),
+                                     rule)
+    err = relative_error(z, M_true) if M_true is not None else None
+    return CompletionResult(X_opt=z, iterations=len(trace), status=status, trace=trace,
+                            relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products)
 
 
 def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
@@ -155,8 +219,15 @@ def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
     dropping below 1e-4, the same estimate the baselines test. The returned
     matrix is that final z iterate. M_true, when given, is used only to
     report the relative error.
+
+    The iterates are those of splitting.run on this objective, with the
+    same trace columns, but carried as the dense rank-r z plus one vector
+    on the mask (x = z off the mask, x = z - s on it): an iteration forms
+    the projection argument, the projection and one difference z+ - z as
+    dense arrays, and no dense x or y unless with_energy asks for the
+    energy column.
     """
-    return _engine_complete(inst, inst.lam, gamma, rule, k, M_true, with_energy)
+    return _masked_complete(inst, inst.lam, gamma, rule, k, M_true, with_energy)
 
 
 def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
@@ -166,7 +237,7 @@ def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
     The instance's lam is ignored; with the smooth term gone, beta = 0
     feeds the step-size root.
     """
-    return _engine_complete(inst, 0.0, gamma, rule, k, M_true, with_energy)
+    return _masked_complete(inst, 0.0, gamma, rule, k, M_true, with_energy)
 
 
 def svp_complete(inst, rule=None, eta=None, M_true=None):

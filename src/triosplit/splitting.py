@@ -306,6 +306,41 @@ def stationarity_bound(state, gamma, L, beta):
     return (L + beta + 1.0 / gamma) * np.linalg.norm(state.z - state.y)
 
 
+class _StepPolicy:
+    """The step size of a three-operator loop, iteration by iteration.
+
+    gamma0 = max_step_size(L, l, beta). With k (at least 1) the loop starts
+    at k * gamma0, and update() decays the step after each trace row per
+    adapt_gamma. A fixed gamma replaces the policy; with neither, the step
+    is fixed at DEFAULT_STEP_FRACTION * gamma0. Passing both raises
+    ValueError. run and the completion solvers each hold one per run.
+    """
+
+    def __init__(self, L, l, beta, gamma=None, k=None):
+        if gamma is not None and k is not None:
+            raise ValueError("pass either gamma or k, not both")
+        if k is not None and not k >= 1:
+            raise ValueError("k must be at least 1")
+        self.gamma0 = max_step_size(L, l, beta)
+        self.adaptive = k is not None
+        if k is not None:
+            self.gamma = k * self.gamma0
+        elif gamma is not None:
+            self.gamma = gamma
+        else:
+            self.gamma = DEFAULT_STEP_FRACTION * self.gamma0
+
+    def update(self, row):
+        """Set the next iteration's step size from the latest trace row."""
+        if self.adaptive:
+            self.gamma = adapt_gamma(self.gamma0, self.gamma, row)
+
+    def failure(self, t):
+        """The OracleError to raise, from the oracle's own error, when a step
+        fails at iteration t."""
+        return OracleError(f"oracle failure at iteration {t} (gamma={self.gamma!r})")
+
+
 def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
     """Drive the splitting iteration until a stopping rule fires.
 
@@ -334,21 +369,10 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
     with the last finite state. An oracle that raises, or returns a y or z
     whose shape differs from x's, raises OracleError naming the iteration.
     """
-    if gamma is not None and k is not None:
-        raise ValueError("pass either gamma or k, not both")
-    if k is not None and not k >= 1:
-        raise ValueError("k must be at least 1")
+    steps = _StepPolicy(problem.L, problem.l, problem.beta, gamma=gamma, k=k)
     if rule is None:
         rule = StoppingRule()
     record_energy = problem.has_values
-
-    gamma0 = max_step_size(problem.L, problem.l, problem.beta)
-    if k is not None:
-        cur_gamma = k * gamma0
-    elif gamma is not None:
-        cur_gamma = gamma
-    else:
-        cur_gamma = DEFAULT_STEP_FRACTION * gamma0
 
     x0 = np.asarray(x0, dtype=float)
     start = SplittingState(x0, x0, x0)
@@ -357,25 +381,23 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
     def advance(state, t):
         nonlocal zy_sq
         try:
-            new, gap = dys_step(problem, state, cur_gamma)
+            new, gap = dys_step(problem, state, steps.gamma)
         except Exception as exc:
-            raise OracleError(f"oracle failure at iteration {t} (gamma={cur_gamma!r})") from exc
+            raise steps.failure(t) from exc
         zy_sq = _sq_norm(gap)
         return new
 
     def measure(old, new, t, norms):
-        nonlocal cur_gamma
         zy = math.sqrt(zy_sq)
-        row = SimpleNamespace(t=t, gamma=cur_gamma, dy_norm=math.sqrt(_sq_norm(new.y - old.y)),
+        row = SimpleNamespace(t=t, gamma=steps.gamma, dy_norm=math.sqrt(_sq_norm(new.y - old.y)),
                               zy_gap=zy, r_primal=zy, s_dual=math.sqrt(_sq_norm(new.z - old.z)),
                               x_norm=norms[0], y_norm=norms[1], z_norm=norms[2],
                               y_inf=float(max(new.y.max(), -new.y.min())) if new.y.size else 0.0)
         if record_energy:
-            row.energy = float(energy(problem, new, cur_gamma))
+            row.energy = float(energy(problem, new, steps.gamma))
         if stop_metric is not None:
             row.stop_metric = float(stop_metric(new))
-        if k is not None:  # the step size of the next iteration
-            cur_gamma = adapt_gamma(gamma0, cur_gamma, row)
+        steps.update(row)
         return row
 
     return _iterate(advance, measure, start, rule)
@@ -398,7 +420,7 @@ def _iterate(advance, measure, start, rule):
     """
     dims = start[0].size
     trace = RunTrace()
-    state = start
+    state, start = start, None  # keep no reference to a state the loop has left
     for t in range(1, rule.max_iter + 1):
         new = advance(state, t)
         squares = [_sq_norm(array) for array in new]

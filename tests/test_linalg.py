@@ -102,9 +102,12 @@ class TestTruncatedSvd:
         A = rng.standard_normal((80, 70))
         t1 = truncated_svd(A, 4, seed=123, dense_cutoff=0)
         t2 = truncated_svd(A, 4, seed=123, dense_cutoff=0)
-        assert np.array_equal(t1.U, t2.U)
-        assert np.array_equal(t1.S, t2.S)
-        assert np.array_equal(t1.V, t2.V)
+        # a Generator draws its block afresh; an int seed's block is drawn once
+        t3 = truncated_svd(A, 4, seed=np.random.default_rng(123), dense_cutoff=0)
+        for t in (t2, t3):
+            assert np.array_equal(t1.U, t.U)
+            assert np.array_equal(t1.S, t.S)
+            assert np.array_equal(t1.V, t.V)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="k="):
@@ -290,6 +293,7 @@ class TestMaskedRelativeResidual:
         num = np.sqrt(sum((X[r, c] - v) ** 2 for r, c, v in zip(obs.rows, obs.cols, obs.values)))
         den = np.sqrt(sum(v ** 2 for v in obs.values))
         assert masked_relative_residual(X, obs) == pytest.approx(num / den, rel=1e-13)
+        assert obs.values_norm == np.linalg.norm(obs.values)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(2)

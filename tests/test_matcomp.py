@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,9 @@ from triosplit.matcomp import (CompletionInstance, default_masked_rule,
                                drs_complete, dys_complete, relative_error, rmse,
                                shrink_singular_values, svp_complete, svt_complete,
                                svt_step)
-from triosplit.prox import prox_masked_quadratic
-from triosplit.splitting import (CONVERGED, SplittingState, StoppingRule,
-                                 dys_step, max_step_size)
-from triosplit.matcomp import _completion_problem
+from triosplit.prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
+from triosplit.splitting import (CONVERGED, DEFAULT_K, SplittingState, StoppingRule,
+                                 ThreeTermProblem, dys_step, max_step_size, run)
 
 
 def make_instance(n, r, p, lam, seed):
@@ -24,6 +25,81 @@ def make_instance(n, r, p, lam, seed):
 @pytest.fixture(scope="module")
 def desk_instance():
     return make_instance(120, 6, 0.35, 1.5e-6, seed=0)
+
+
+def dense_problem(inst, lam, warm, with_energy=False):
+    """The completion objective with tail weight lam as the engine's
+    three-operator problem on dense iterates, from public pieces."""
+    obs = inst.obs
+    values = {}
+    if with_energy:
+        values = dict(
+            value_f=lambda X: 0.5 * float(np.sum((X.take(obs.flat) - obs.values) ** 2)),
+            value_g=lambda Z: 0.0,  # rank_projection's outputs are rank-feasible
+            value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)))
+    return ThreeTermProblem(prox_f=lambda X, g: prox_masked_quadratic(X, obs, g),
+                            prox_g=lambda V, g: rank_projection(V, inst.r, warm=warm),
+                            grad_h=lambda X: grad_frobenius_reg(X, lam),
+                            L=1.0, l=0.0, beta=lam, **values)
+
+
+def dense_complete(inst, lam, gamma=None, k=DEFAULT_K, with_energy=False):
+    """Reference for dys_complete (lam = inst.lam) and drs_complete (lam = 0):
+    splitting.run on dense x, y and z, stopped on the masked residual of z."""
+    problem = dense_problem(inst, lam, SvdWarmStart(), with_energy)
+    return run(problem, np.zeros(inst.shape), gamma=gamma,
+               k=None if gamma is not None else k, rule=default_masked_rule(),
+               stop_metric=lambda s: masked_relative_residual(s.z, inst.obs))
+
+
+# Bounds on the drift from the dense reference, whose sums run in another
+# order: norms and y_inf within 1e-12 relative (measured: 1e-14), the
+# differences and the metric within 1e-8 (measured: 1e-10 after 430
+# iterations), the energy within 1e-8 of the run's largest |energy|.
+TIGHT_COLUMNS = ("t", "gamma", "x_norm", "y_norm", "z_norm", "y_inf")
+
+
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("solver", ["dys", "drs"])
+    @pytest.mark.parametrize("gamma, with_energy", [(None, True), (0.2, False)],
+                             ids=["policy", "fixed-step"])
+    def test_iterates_match_the_dense_iteration(self, desk_instance, solver, gamma, with_energy):
+        inst, _ = desk_instance
+        fn, lam = (dys_complete, inst.lam) if solver == "dys" else (drs_complete, 0.0)
+        res = fn(inst, gamma=gamma, with_energy=with_energy)
+        ref = dense_complete(inst, lam, gamma=gamma, with_energy=with_energy)
+        assert res.status == ref.status == CONVERGED
+        assert res.iterations == len(ref.trace)
+        assert np.linalg.norm(res.X_opt - ref.state.z) <= 1e-12 * np.linalg.norm(ref.state.z)
+        names = list(vars(ref.trace.last))
+        assert list(vars(res.trace.last)) == names
+        assert ("energy" in names) == with_energy
+        for name in names:
+            got, want = res.trace.column(name), ref.trace.column(name)
+            if name == "energy":
+                assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+            else:
+                rtol = 1e-12 if name in TIGHT_COLUMNS else 1e-8
+                assert np.allclose(got, want, rtol=rtol, atol=0.0), name
+
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete])
+    def test_an_iteration_holds_few_dense_copies(self, solver):
+        # 600 x 800 at 5% density: the dense iteration peaks at about 8 copies
+        rng = np.random.default_rng(9)
+        m, n, r = 600, 800, 5
+        flat = rng.choice(m * n, size=m * n // 20, replace=False)
+        rows, cols = np.divmod(flat, n)
+        left, right = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+        values = np.einsum("ij,ij->i", left[rows], right[cols])
+        inst = CompletionInstance(ObservationSet(rows, cols, values, (m, n)), (m, n), r)
+        tracemalloc.start()
+        try:
+            res = solver(inst, rule=default_masked_rule(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3
+        assert peak <= 5 * m * n * 8
 
 
 class TestInstance:
@@ -80,6 +156,21 @@ class TestDysComplete:
         res = dys_complete(inst, rule=default_masked_rule(max_iter=1))
         assert res.trace.column("gamma")[0] == splitting.DEFAULT_K * max_step_size(1.0, 0.0, inst.lam)
 
+    def test_a_failed_projection_raises_oracle_error_naming_its_iteration(self, monkeypatch):
+        inst, _ = make_instance(30, 2, 0.6, 1e-6, seed=11)
+        calls = []
+
+        def fail_second(V, r, warm=None):
+            calls.append(r)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("no convergence")
+            return rank_projection(V, r, warm=warm)
+
+        monkeypatch.setattr(matcomp, "rank_projection", fail_second)
+        with pytest.raises(splitting.OracleError, match="iteration 2") as info:
+            dys_complete(inst)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_energy_recording_on_request(self):
         inst, M = make_instance(30, 2, 0.6, 1e-6, seed=11)
         res = dys_complete(inst, M_true=M, with_energy=True)
@@ -89,7 +180,7 @@ class TestDysComplete:
 
     def test_iterates_stay_rank_feasible_and_reuse_masked_prox(self, desk_instance):
         inst, _ = desk_instance
-        problem = _completion_problem(inst, inst.lam, False, SvdWarmStart())
+        problem = dense_problem(inst, inst.lam, SvdWarmStart())
         gamma = 0.12
         state = SplittingState(*[np.zeros(inst.shape)] * 3)
         for _ in range(5):
@@ -298,6 +389,17 @@ class TestWarmStart:
         res = solver(inst, M_true=M)
         assert res.svd_sweeps == calls.sweeps > 0
         assert res.svd_products == calls.products >= 2 * calls.sweeps
+
+    def test_gaussian_block_is_drawn_once_per_run(self, tiny_instance, monkeypatch):
+        inst, _ = tiny_instance
+        draws = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: draws.append(seed)
+                            or default_rng(seed))
+        linalg._gaussian_block.cache_clear()
+        res = dys_complete(inst)
+        assert res.iterations > 1
+        assert draws == [0]
 
     def test_warm_shrinkage_halves_svd_sweeps(self, tiny_instance, monkeypatch):
         inst, M = tiny_instance
