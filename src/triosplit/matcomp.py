@@ -6,12 +6,13 @@ completion objective
     0.5 * ||masked(X) - data||^2  +  indicator(rank <= r)  +  (lam/2)*||X||^2
 
 whose three blocks give a masked averaging prox, a rank projection, and a
-linear gradient. Its iterates are those of splitting.run, carried as a
-dense rank-r matrix plus a vector on the mask (see _masked_complete).
-Dropping the quadratic tail (lam = 0) recovers classical Douglas-Rachford
-splitting on the same constraint set. Two baselines are
-included: projected gradient descent with rank truncation (svp_complete)
-and singular-value shrinkage with a dual update on the mask (svt_complete).
+linear gradient. Its iterates are those of splitting.run, carried as the
+rank-r factors of z plus a vector on the mask, over one dense buffer per
+run (see _masked_complete). Dropping the quadratic tail (lam = 0) recovers
+classical Douglas-Rachford splitting on the same constraint set. Two
+baselines are included: projected gradient descent with rank truncation
+(svp_complete), whose iterate is carried the same way, and singular-value
+shrinkage with a dual update on the mask (svt_complete).
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ import numpy as np
 
 from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
                      masked_relative_residual, truncated_svd)
-# prox_masked_quadratic, run and check_stop are imported only for the
-# benchmark's hooks on them here (bench/tracing.py); the solvers call none
+# prox_masked_quadratic, rank_projection, run and check_stop are imported
+# only for the benchmark's hooks on them here (bench/tracing.py); the
+# solvers call none
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
 from .splitting import (DEFAULT_K, RunTrace, SplittingState, StoppingRule,
                         ThreeTermProblem, _iterate, _sq_norm, _StepPolicy,
@@ -104,6 +106,42 @@ def _masked_metric(X, obs):
     return masked_relative_residual(X, obs)
 
 
+def _metric_on_mask(x_on, obs):
+    """_masked_metric of a matrix X, bit for bit, from its entries on the
+    mask, x_on = X.take(obs.flat)."""
+    if obs.values_norm == 0.0:
+        return float(np.linalg.norm(x_on))
+    return float(np.linalg.norm(x_on - obs.values) / obs.values_norm)
+
+
+def _project_into(buf, r, warm):
+    """Replace the dense buf by its nearest rank-r matrix; return its factors.
+
+    The top-r SVD of buf, started from warm's basis and kept there as
+    rank_projection keeps it, gives W = U * S (m x r) and V (n x r). buf is
+    then overwritten with W V^T by the product SvdTriplet.reconstruct forms,
+    so it holds rank_projection(buf, r, warm) bit for bit, and a caller
+    that keeps (W, V) can write the same matrix back into buf at any time.
+    """
+    t = truncated_svd(buf, r, start=warm.basis)
+    warm.keep(t)
+    W = t.U * t.S
+    np.matmul(W, t.V.T, out=buf)
+    return W, t.V
+
+
+def _factored_diff_sq(W1, V1, W0, V0):
+    """||W1 V1^T - W0 V0^T||^2 (Frobenius) without forming either product.
+
+    With thin QRs [W1, -W0] = Q1 R1 and [V1, V0] = Q2 R2 the difference is
+    Q1 (R1 R2^T) Q2^T, and Q1, Q2 have orthonormal columns, so its norm is
+    that of the small factor R1 R2^T, at most 2r x 2r.
+    """
+    R1 = np.linalg.qr(np.hstack((W1, -W0)), mode="r")
+    R2 = np.linalg.qr(np.hstack((V1, V0)), mode="r")
+    return _sq_norm(R1 @ R2.T)
+
+
 def _objective_values(obs, lam):
     """The completion objective with tail weight lam, for splitting.energy,
     which reads only the value oracles and grad H: the solvers take their
@@ -114,97 +152,106 @@ def _objective_values(obs, lam):
         prox_f=None, prox_g=None, grad_h=lambda X: grad_frobenius_reg(X, lam),
         L=1.0, l=0.0, beta=lam,
         value_f=lambda X: 0.5 * float(np.sum((X.take(obs.flat) - obs.values) ** 2)),
-        # energy is evaluated only at outputs of rank_projection, whose rank
-        # is at most r by construction: g, the rank-r indicator, is 0
+        # energy is evaluated only at rank projections, whose rank is at
+        # most r by construction: g, the rank-r indicator, is 0
         value_g=lambda Z: 0.0,
         value_h=lambda X: 0.5 * lam * float(np.sum(X ** 2)))
 
 
 def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     """The three-operator iteration on the completion objective, carried as
-    a dense rank-r z and one vector s on the mask.
+    the rank-r factors of z and one vector s on the mask, over one dense
+    buffer.
 
     The first prox is a masked average, so off the mask y+ = x and
-    x+ = z+; the state (z, s) stands for x = z off the mask and
-    x = z - s on it. A step writes the projection argument
-    2 y - gamma * lam * y - x, which is (1 - gamma * lam) * z off the mask,
-    as one dense array, and measures the row from ||z+||, the one dense
-    difference z+ - z and vectors on the mask. Off the mask, z+ - y+ is
-    that difference and y+ - y the previous step's; y = z_prev there, so
-    y_inf is exact. No dense x or y is formed unless with_energy asks.
+    x+ = z+; the state (W, V, s) stands for z = W V^T, x = z off the mask
+    and x = z - s on it. Between steps the buffer holds z with its mask
+    entries zeroed. A step scales it in place by 1 - gamma * lam into the
+    projection argument 2 y - gamma * lam * y - x, which is
+    (1 - gamma * lam) * z off the mask, scatters the argument's mask
+    entries, and projects the buffer in place (_project_into), which leaves
+    z+ in it. The row reads z+ on the mask and ||z+|| from the buffer,
+    zeroes the buffer's mask entries to read max |z+| off the mask, and
+    takes ||z+ - z|| from the factors, less its part on the mask, read from
+    vectors. Off the mask, z+ - y+ is z+ - z and y+ - y the previous step's
+    z - z_prev; y = z_prev there, so y_inf is exact. No dense x, y or
+    difference is formed unless with_energy asks for the energy column.
     """
     if rule is None:
         rule = default_masked_rule()
-    obs, flat = inst.obs, inst.obs.flat
+    obs, flat, r = inst.obs, inst.obs.flat, inst.r
     objective = _objective_values(obs, lam)
     steps = _StepPolicy(objective.L, objective.l, objective.beta,
                         gamma=gamma, k=None if gamma is not None else k)
     warm = SvdWarmStart()  # one per run: each projection starts where the last ended
-    # what the next row reads of the current state besides z itself: z and the
-    # latest y on the mask, and off it ||z - z_prev||^2, ||z||^2 and max |z|
+    buf = np.zeros(inst.shape)  # the run's one dense array, returned as X_opt
+    buf_flat = buf.reshape(-1)
+    # what the next row reads of the current state besides its factors: z and
+    # the latest y on the mask, and off it ||z - z_prev||^2, ||z||^2 and max |z|
     last = SimpleNamespace(z_on=np.zeros(len(obs)), y_on=np.zeros(len(obs)),
                            dz_off_sq=0.0, z_off_sq=0.0, z_off_inf=0.0)
     y_on = None
 
     def advance(state, t):
         nonlocal y_on
-        z, s = state
+        s = state[2]
         g = steps.gamma
         try:
             if g <= 0:
                 raise ValueError("gamma must be positive")
             x_on = last.z_on - s
             y_on = (x_on + g * obs.values) / (1.0 + g)
-            arg = np.multiply(z, 1.0 - g * lam, order="C")
-            arg.reshape(-1)[flat] = 2.0 * y_on - g * (lam * y_on) - x_on
-            z_new = rank_projection(arg, inst.r, warm=warm)
+            scale = 1.0 - g * lam
+            if scale != 1.0:
+                np.multiply(buf, scale, out=buf)
+            buf_flat[flat] = 2.0 * y_on - g * (lam * y_on) - x_on
+            W, V = _project_into(buf, r, warm)
         except Exception as exc:
             raise steps.failure(t) from exc
-        return z_new, y_on - x_on
+        return W, V, y_on - x_on
 
     def measure(old, new, t, norms):
-        (z, _), (z_new, s_new) = old, new
-        z_on = z_new.take(flat)
-        diff = z_new - z
-        diff.reshape(-1)[flat] = 0.0
-        dz_off_sq = _sq_norm(diff)
-        del diff
-        # max |z+| off the mask: zero its mask entries in place, then restore
-        # them (rank_projection returns a C-ordered array, so this is a view)
-        flat_z = z_new.reshape(-1)
-        flat_z[flat] = 0.0
-        z_off_inf = float(max(z_new.max(), -z_new.min()))
-        flat_z[flat] = z_on
-        z_off_sq = max(norms[0] ** 2 - _sq_norm(z_on), 0.0)
+        (W, V, _), (W_new, V_new, s_new) = old, new
+        z_on = buf.take(flat)
+        z_norm = math.sqrt(_sq_norm(buf))
+        # max |z+| off the mask; the next step overwrites the zeroed entries
+        buf_flat[flat] = 0.0
+        z_off_inf = float(max(buf.max(), -buf.min()))
+        z_off_sq = max(z_norm ** 2 - _sq_norm(z_on), 0.0)
+        dz_on_sq = _sq_norm(z_on - last.z_on)
+        dz_off_sq = max(_factored_diff_sq(W_new, V_new, W, V) - dz_on_sq, 0.0)
         x_on = z_on - s_new
         zy = math.sqrt(dz_off_sq + _sq_norm(z_on - y_on))
         row = SimpleNamespace(
             t=t, gamma=steps.gamma, dy_norm=math.sqrt(last.dz_off_sq + _sq_norm(y_on - last.y_on)),
-            zy_gap=zy, r_primal=zy, s_dual=math.sqrt(dz_off_sq + _sq_norm(z_on - last.z_on)),
+            zy_gap=zy, r_primal=zy, s_dual=math.sqrt(dz_off_sq + dz_on_sq),
             x_norm=math.sqrt(z_off_sq + _sq_norm(x_on)),
-            y_norm=math.sqrt(last.z_off_sq + _sq_norm(y_on)), z_norm=norms[0],
+            y_norm=math.sqrt(last.z_off_sq + _sq_norm(y_on)), z_norm=z_norm,
             y_inf=max(last.z_off_inf, float(np.abs(y_on).max())))
         if with_energy:
-            x, y = z_new.copy(), z.copy()
+            z_new = W_new @ V_new.T
+            x, y = z_new.copy(), W @ V.T
             x.reshape(-1)[flat] = x_on
             y.reshape(-1)[flat] = y_on
             row.energy = float(energy(objective, SplittingState(x, y, z_new), steps.gamma))
         # the masked stop watches the rank-feasible iterate, the same estimate
-        # the baselines test and the one reported as the solution; this is
-        # _masked_metric(z_new, obs), read from z_new's entries on the mask
-        if obs.values_norm == 0.0:
-            row.stop_metric = float(np.linalg.norm(z_on))
-        else:
-            row.stop_metric = float(np.linalg.norm(z_on - obs.values) / obs.values_norm)
+        # the baselines test and the one reported as the solution
+        row.stop_metric = _metric_on_mask(z_on, obs)
         steps.update(row)
         last.z_on, last.y_on = z_on, y_on
         last.dz_off_sq, last.z_off_sq, last.z_off_inf = dz_off_sq, z_off_sq, z_off_inf
         return row
 
-    (z, _), trace, status = _iterate(advance, measure, (np.zeros(inst.shape), np.zeros(len(obs))),
-                                     rule)
-    err = relative_error(z, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=z, iterations=len(trace), status=status, trace=trace,
+    m, n = inst.shape
+    # _iterate sizes check_stop's residual-pair tolerance by the state's first
+    # array, here W; these rows always carry stop_metric, so it is never read
+    (W, V, _), trace, status = _iterate(
+        advance, measure, (np.zeros((m, r)), np.zeros((n, r)), np.zeros(len(obs))), rule)
+    # the last finite z: the buffer holds it with its mask entries zeroed,
+    # or a diverged step's projection
+    np.matmul(W, V.T, out=buf)
+    err = relative_error(buf, M_true) if M_true is not None else None
+    return CompletionResult(X_opt=buf, iterations=len(trace), status=status, trace=trace,
                             relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products)
 
 
@@ -221,11 +268,12 @@ def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
     report the relative error.
 
     The iterates are those of splitting.run on this objective, with the
-    same trace columns, but carried as the dense rank-r z plus one vector
-    on the mask (x = z off the mask, x = z - s on it): an iteration forms
-    the projection argument, the projection and one difference z+ - z as
-    dense arrays, and no dense x or y unless with_energy asks for the
-    energy column.
+    same trace columns, but carried as the rank-r factors of z plus one
+    vector on the mask (x = z off the mask, x = z - s on it), over one
+    dense m x n buffer per run: an iteration forms the projection argument
+    in it and writes z+ back into it, and the buffer is returned as X_opt.
+    No other dense array is formed unless with_energy asks for the energy
+    column, which builds dense x, y and z.
     """
     return _masked_complete(inst, inst.lam, gamma, rule, k, M_true, with_energy)
 
@@ -235,7 +283,8 @@ def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
     """Douglas-Rachford completion: dys_complete at lam = 0.
 
     The instance's lam is ignored; with the smooth term gone, beta = 0
-    feeds the step-size root.
+    feeds the step-size root. The iterate is carried as in dys_complete,
+    over one dense buffer that is returned as X_opt.
     """
     return _masked_complete(inst, 0.0, gamma, rule, k, M_true, with_energy)
 
@@ -243,29 +292,41 @@ def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
 def svp_complete(inst, rule=None, eta=None, M_true=None):
     """Projected gradient baseline: gradient step on the mask, then rank
     truncation. The default step schedule is 1 / (p * sqrt(t)); a float eta
-    fixes the step instead."""
+    fixes the step instead.
+
+    The iterate X is carried as its rank-r factors over one dense m x n
+    buffer that holds X and is returned as X_opt: a step writes the
+    gradient step into the buffer's mask entries and projects the buffer in
+    place, and the change of the estimate, dy_norm, is read from the
+    factors.
+    """
     if rule is None:
         rule = default_masked_rule()
-    obs, r, p = inst.obs, inst.r, inst.p
+    obs, flat, r, p = inst.obs, inst.obs.flat, inst.r, inst.p
     eta = None if eta is None else float(eta)
     warm = SvdWarmStart()
+    buf = np.zeros(inst.shape)  # the iterate X, the run's one dense array
+    x_on = np.zeros(len(obs))  # X on the mask
     step = None
 
     def advance(state, t):
         nonlocal step
-        (X,) = state
         step = 1.0 / (p * math.sqrt(t)) if eta is None else eta
-        Y = X.copy()
-        Y.reshape(-1)[obs.flat] = Y.take(obs.flat) - step * (X.take(obs.flat) - obs.values)
-        return (rank_projection(Y, r, warm=warm),)
+        buf.reshape(-1)[flat] = x_on - step * (x_on - obs.values)
+        return _project_into(buf, r, warm)
 
     def measure(old, new, t, norms):
-        return SimpleNamespace(t=t, gamma=step, dy_norm=float(np.linalg.norm(new[0] - old[0])),
-                               x_norm=norms[0], stop_metric=_masked_metric(new[0], obs))
+        nonlocal x_on
+        x_on = buf.take(flat)
+        return SimpleNamespace(t=t, gamma=step, dy_norm=math.sqrt(_factored_diff_sq(*new, *old)),
+                               x_norm=math.sqrt(_sq_norm(buf)),
+                               stop_metric=_metric_on_mask(x_on, obs))
 
-    (X,), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),), rule)
-    err = relative_error(X, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=X, iterations=len(trace), status=status,
+    m, n = inst.shape
+    (W, V), trace, status = _iterate(advance, measure, (np.zeros((m, r)), np.zeros((n, r))), rule)
+    np.matmul(W, V.T, out=buf)  # the last finite X, which a diverged step overwrote
+    err = relative_error(buf, M_true) if M_true is not None else None
+    return CompletionResult(X_opt=buf, iterations=len(trace), status=status,
                             trace=trace, relative_error=err, svd_sweeps=warm.sweeps,
                             svd_products=warm.products)
 

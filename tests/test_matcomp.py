@@ -82,9 +82,11 @@ class TestAgainstDenseReference:
                 rtol = 1e-12 if name in TIGHT_COLUMNS else 1e-8
                 assert np.allclose(got, want, rtol=rtol, atol=0.0), name
 
-    @pytest.mark.parametrize("solver", [dys_complete, drs_complete])
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete])
     def test_an_iteration_holds_few_dense_copies(self, solver):
-        # 600 x 800 at 5% density: the dense iteration peaks at about 8 copies
+        # 600 x 800 at 5% density: the dense iteration peaks at about 8
+        # copies; one buffer per run, with the SVD's finiteness scan and
+        # thin factors, at 1.2 to 1.5
         rng = np.random.default_rng(9)
         m, n, r = 600, 800, 5
         flat = rng.choice(m * n, size=m * n // 20, replace=False)
@@ -99,7 +101,7 @@ class TestAgainstDenseReference:
         finally:
             tracemalloc.stop()
         assert res.iterations == 3
-        assert peak <= 5 * m * n * 8
+        assert peak <= 2 * m * n * 8
 
 
 class TestInstance:
@@ -160,16 +162,37 @@ class TestDysComplete:
         inst, _ = make_instance(30, 2, 0.6, 1e-6, seed=11)
         calls = []
 
-        def fail_second(V, r, warm=None):
-            calls.append(r)
+        def fail_second(A, k, **kwargs):
+            calls.append(k)
             if len(calls) == 2:
                 raise np.linalg.LinAlgError("no convergence")
-            return rank_projection(V, r, warm=warm)
+            return linalg.truncated_svd(A, k, **kwargs)
 
-        monkeypatch.setattr(matcomp, "rank_projection", fail_second)
+        monkeypatch.setattr(matcomp, "truncated_svd", fail_second)
         with pytest.raises(splitting.OracleError, match="iteration 2") as info:
             dys_complete(inst)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete])
+    def test_a_non_finite_projection_returns_the_last_finite_iterate(self, monkeypatch, solver):
+        # the step overwrites the run's one dense buffer with the bad
+        # projection, so the last finite iterate is rebuilt from its factors
+        inst, _ = make_instance(30, 2, 0.6, 1e-6, seed=11)
+        two = solver(inst, rule=default_masked_rule(max_iter=2))
+        calls = []
+
+        def nan_third(A, k, **kwargs):
+            t = linalg.truncated_svd(A, k, **kwargs)
+            calls.append(k)
+            if len(calls) == 3:
+                t = linalg.SvdTriplet(t.U * np.nan, t.S, t.V)
+            return t
+
+        monkeypatch.setattr(matcomp, "truncated_svd", nan_third)
+        res = solver(inst)
+        assert res.status == splitting.DIVERGED
+        assert res.iterations == 2
+        assert np.array_equal(res.X_opt, two.X_opt)
 
     def test_energy_recording_on_request(self):
         inst, M = make_instance(30, 2, 0.6, 1e-6, seed=11)
