@@ -11,8 +11,10 @@ rank-r factors of z plus a vector on the mask, over one dense buffer per
 run (see _masked_complete). Dropping the quadratic tail (lam = 0) recovers
 classical Douglas-Rachford splitting on the same constraint set. Two
 baselines are included: projected gradient descent with rank truncation
-(svp_complete), whose iterate is carried the same way, and singular-value
-shrinkage with a dual update on the mask (svt_complete).
+(svp_complete) and singular-value shrinkage with a dual update on the mask
+(svt_complete). All four solvers carry their iterate in one form: the
+factors W, V of a low-rank matrix W V^T, plus a vector on the mask where the
+method has one, over one dense buffer per run that is returned as X_opt.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 
 from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
                      masked_relative_residual, truncated_svd)
-# prox_masked_quadratic, rank_projection, run and check_stop are imported
-# only for the benchmark's hooks on them here (bench/tracing.py); the
-# solvers call none
+# masked_relative_residual, prox_masked_quadratic, rank_projection, run and
+# check_stop are imported only for the benchmark's hooks on them here
+# (bench/tracing.py); the solvers call none
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
 from .splitting import (DEFAULT_K, RunTrace, SplittingState, StoppingRule,
                         ThreeTermProblem, _iterate, _sq_norm, _StepPolicy,
@@ -98,17 +100,11 @@ def rmse(X, test_obs):
     return math.sqrt(float(np.mean(diff ** 2)))
 
 
-def _masked_metric(X, obs):
-    # relative misfit on the mask; degenerate all-zero data falls back to the
-    # absolute misfit so a zero instance reads as solved at X = 0
-    if obs.values_norm == 0.0:
-        return float(np.linalg.norm(X.take(obs.flat)))
-    return masked_relative_residual(X, obs)
-
-
 def _metric_on_mask(x_on, obs):
-    """_masked_metric of a matrix X, bit for bit, from its entries on the
-    mask, x_on = X.take(obs.flat)."""
+    """The masked stop metric of a matrix X from its entries on the mask,
+    x_on = X.take(obs.flat): the misfit there relative to the data's norm,
+    bit for bit masked_relative_residual(X, obs). All-zero data falls back
+    to the absolute misfit, so a zero instance reads as solved at X = 0."""
     if obs.values_norm == 0.0:
         return float(np.linalg.norm(x_on))
     return float(np.linalg.norm(x_on - obs.values) / obs.values_norm)
@@ -140,6 +136,15 @@ def _factored_diff_sq(W1, V1, W0, V0):
     R1 = np.linalg.qr(np.hstack((W1, -W0)), mode="r")
     R2 = np.linalg.qr(np.hstack((V1, V0)), mode="r")
     return _sq_norm(R1 @ R2.T)
+
+
+def _finish(buf, W, V, trace, status, warm, M_true):
+    """The run's CompletionResult. Its X_opt is buf rewritten as W V^T, the
+    last finite iterate, which a diverged step may have overwritten."""
+    np.matmul(W, V.T, out=buf)
+    err = relative_error(buf, M_true) if M_true is not None else None
+    return CompletionResult(X_opt=buf, iterations=len(trace), status=status, trace=trace,
+                            relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products)
 
 
 def _objective_values(obs, lam):
@@ -247,12 +252,9 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     # array, here W; these rows always carry stop_metric, so it is never read
     (W, V, _), trace, status = _iterate(
         advance, measure, (np.zeros((m, r)), np.zeros((n, r)), np.zeros(len(obs))), rule)
-    # the last finite z: the buffer holds it with its mask entries zeroed,
-    # or a diverged step's projection
-    np.matmul(W, V.T, out=buf)
-    err = relative_error(buf, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=buf, iterations=len(trace), status=status, trace=trace,
-                            relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products)
+    # the buffer holds the last z with its mask entries zeroed, or a
+    # diverged step's projection
+    return _finish(buf, W, V, trace, status, warm, M_true)
 
 
 def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
@@ -324,22 +326,19 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
 
     m, n = inst.shape
     (W, V), trace, status = _iterate(advance, measure, (np.zeros((m, r)), np.zeros((n, r))), rule)
-    np.matmul(W, V.T, out=buf)  # the last finite X, which a diverged step overwrote
-    err = relative_error(buf, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=buf, iterations=len(trace), status=status,
-                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps,
-                            svd_products=warm.products)
+    return _finish(buf, W, V, trace, status, warm, M_true)
 
 
 def shrink_singular_values(X, tau, start_k=4, warm=None):
     """All-above-threshold shrinkage: sum of (sigma_j - tau) * u_j v_j^T over
-    sigma_j > tau. The factor count is found by growing the truncation width
-    until the smallest computed value falls at or below tau; each wider SVD
-    starts from the basis the narrower one ended on. Each SVD is given tau
-    as its ``floor``: it settles only the values it keeps, and stops once
-    the largest estimate at or below tau sits below it by more than the
-    rest of its rise, without settling the discarded values (see
-    truncated_svd).
+    sigma_j > tau, returned as its factors (W, V), W = U * (S - tau), whose
+    column count is the number of values kept (0 when none is). The factor
+    count is found by growing the truncation width until the smallest
+    computed value falls at or below tau; each wider SVD starts from the
+    basis the narrower one ended on. Each SVD is given tau as its
+    ``floor``: it settles only the values it keeps, and stops once the
+    largest estimate at or below tau sits below it by more than the rest of
+    its rise, without settling the discarded values (see truncated_svd).
 
     Without ``warm`` this is a cold one-shot call: the first SVD starts from
     a fresh seeded block. With an SvdWarmStart it starts from the basis the
@@ -355,21 +354,7 @@ def shrink_singular_values(X, tau, start_k=4, warm=None):
             break
         k = min(2 * k, mindim)
     keep = t.S > tau
-    count = int(np.count_nonzero(keep))
-    if count == 0:
-        return np.zeros(X.shape), 0
-    U, S, V = t.U[:, keep], t.S[keep], t.V[:, keep]
-    return (U * (S - tau)) @ V.T, count
-
-
-def svt_step(X, obs, tau, delta, start_k=4, warm=None):
-    """One shrinkage/dual-update pass: primal Y+ = shrink(X), then the dual
-    steps toward the data on the mask and stays zero elsewhere. ``warm`` is
-    passed on to shrink_singular_values; without it the call is cold."""
-    Y_new, rank = shrink_singular_values(X, tau, start_k=start_k, warm=warm)
-    X_new = np.zeros(X.shape)
-    X_new.reshape(-1)[obs.flat] = X.take(obs.flat) + delta * (obs.values - Y_new.take(obs.flat))
-    return Y_new, X_new, rank
+    return t.U[:, keep] * (t.S[keep] - tau), t.V[:, keep]
 
 
 def svt_complete(inst, rule=None, M_true=None):
@@ -379,26 +364,35 @@ def svt_complete(inst, rule=None, M_true=None):
     mask; the dual then takes a scaled data-misfit step on the mask. The
     threshold is tau = 5 * max(shape) and the step delta = 1.2 / p. The rank
     of the primal estimate is data-driven, not fixed in advance.
+
+    The state is the dual as its vector on the mask plus the primal as its
+    shrinkage factors (W, V), over one dense m x n buffer that is returned
+    as X_opt: a step scatters the dual into the zeroed buffer, shrinks it
+    and writes the primal W V^T back, and the change of the estimate,
+    dy_norm, is read from the factors.
     """
     if rule is None:
         rule = default_masked_rule()
-    obs = inst.obs
+    obs, flat = inst.obs, inst.obs.flat
     tau, delta = 5.0 * max(inst.shape), 1.2 / inst.p
-
     warm = SvdWarmStart()  # each shrinkage starts its SVD where the last ended
-    rank = 0
+    buf = np.zeros(inst.shape)  # the dual, then the primal; the run's one dense array
 
-    def advance(state, t):  # state is (dual X, kept supported on the mask, primal Y)
-        nonlocal rank
-        Y_new, X_new, rank = svt_step(state[0], obs, tau, delta, start_k=rank + 4, warm=warm)
-        return X_new, Y_new
+    def advance(state, t):
+        x_on, W, _ = state
+        buf.fill(0.0)
+        buf.reshape(-1)[flat] = x_on
+        # the kept rank, W's column count, sizes the next shrinkage's first SVD
+        W, V = shrink_singular_values(buf, tau, start_k=W.shape[1] + 4, warm=warm)
+        np.matmul(W, V.T, out=buf)
+        return x_on + delta * (obs.values - buf.take(flat)), W, V
 
     def measure(old, new, t, norms):
-        return SimpleNamespace(t=t, gamma=delta, dy_norm=float(np.linalg.norm(new[1] - old[1])),
-                               x_norm=norms[0], stop_metric=_masked_metric(new[1], obs))
+        dy_norm = math.sqrt(_factored_diff_sq(*new[1:], *old[1:]))
+        return SimpleNamespace(t=t, gamma=delta, dy_norm=dy_norm, x_norm=norms[0],
+                               stop_metric=_metric_on_mask(buf.take(flat), obs))
 
-    (_, Y), trace, status = _iterate(advance, measure, (np.zeros(inst.shape),) * 2, rule)
-    err = relative_error(Y, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=Y, iterations=len(trace), status=status,
-                            trace=trace, relative_error=err, svd_sweeps=warm.sweeps,
-                            svd_products=warm.products)
+    m, n = inst.shape
+    (_, W, V), trace, status = _iterate(
+        advance, measure, (np.zeros(len(obs)), np.zeros((m, 0)), np.zeros((n, 0))), rule)
+    return _finish(buf, W, V, trace, status, warm, M_true)

@@ -8,8 +8,7 @@ from triosplit.datagen import gen_low_rank, observe, sample_omega
 from triosplit.linalg import ObservationSet, SvdWarmStart, masked_relative_residual
 from triosplit.matcomp import (CompletionInstance, default_masked_rule,
                                drs_complete, dys_complete, relative_error, rmse,
-                               shrink_singular_values, svp_complete, svt_complete,
-                               svt_step)
+                               shrink_singular_values, svp_complete, svt_complete)
 from triosplit.prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
 from triosplit.splitting import (CONVERGED, DEFAULT_K, SplittingState, StoppingRule,
                                  ThreeTermProblem, dys_step, max_step_size, run)
@@ -82,7 +81,7 @@ class TestAgainstDenseReference:
                 rtol = 1e-12 if name in TIGHT_COLUMNS else 1e-8
                 assert np.allclose(got, want, rtol=rtol, atol=0.0), name
 
-    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete])
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
     def test_an_iteration_holds_few_dense_copies(self, solver):
         # 600 x 800 at 5% density: the dense iteration peaks at about 8
         # copies; one buffer per run, with the SVD's finiteness scan and
@@ -173,26 +172,38 @@ class TestDysComplete:
             dys_complete(inst)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
-    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete])
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
     def test_a_non_finite_projection_returns_the_last_finite_iterate(self, monkeypatch, solver):
         # the step overwrites the run's one dense buffer with the bad
         # projection, so the last finite iterate is rebuilt from its factors
         inst, _ = make_instance(30, 2, 0.6, 1e-6, seed=11)
-        two = solver(inst, rule=default_masked_rule(max_iter=2))
-        calls = []
+        # a rank projection keeps every value it computes, so poisoning the
+        # third SVD fails iteration 3; svt_complete's early shrinkages keep
+        # none and would drop a NaN, so the first SVD that keeps a value is
+        # poisoned, which fails the first iteration whose estimate moves
+        if solver is svt_complete:
+            moves = svt_complete(inst).trace.column("dy_norm")
+            poisoned, diverges_at = 1, int(np.flatnonzero(moves)[0]) + 1
+        else:
+            poisoned = diverges_at = 3
+        kept = []
 
-        def nan_third(A, k, **kwargs):
+        def nan_once(A, k, **kwargs):
             t = linalg.truncated_svd(A, k, **kwargs)
-            calls.append(k)
-            if len(calls) == 3:
-                t = linalg.SvdTriplet(t.U * np.nan, t.S, t.V)
+            floor = kwargs.get("floor")
+            if floor is None or t.S[0] > floor:
+                kept.append(k)
+                if len(kept) == poisoned:
+                    t = linalg.SvdTriplet(t.U * np.nan, t.S, t.V)
             return t
 
-        monkeypatch.setattr(matcomp, "truncated_svd", nan_third)
+        monkeypatch.setattr(matcomp, "truncated_svd", nan_once)
         res = solver(inst)
+        monkeypatch.undo()
+        capped = solver(inst, rule=default_masked_rule(max_iter=diverges_at - 1))
         assert res.status == splitting.DIVERGED
-        assert res.iterations == 2
-        assert np.array_equal(res.X_opt, two.X_opt)
+        assert res.iterations == diverges_at - 1 >= 1
+        assert np.array_equal(res.X_opt, capped.X_opt)
 
     def test_energy_recording_on_request(self):
         inst, M = make_instance(30, 2, 0.6, 1e-6, seed=11)
@@ -288,24 +299,33 @@ class TestSvtComplete:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((12, 12))
         tau = 2.0 * np.linalg.norm(X, 2)
-        out, rank = shrink_singular_values(X, tau)
-        assert rank == 0
-        assert np.array_equal(out, np.zeros((12, 12)))
+        W, V = shrink_singular_values(X, tau)
+        assert W.shape[1] == 0
+        assert np.array_equal(W @ V.T, np.zeros((12, 12)))
 
     def test_scalar_shrinkage(self):
-        out, rank = shrink_singular_values(np.diag([7.0, 3.0]), 5.0)
-        assert rank == 1
-        assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-12)
+        W, V = shrink_singular_values(np.diag([7.0, 3.0]), 5.0)
+        assert W.shape[1] == 1
+        assert np.allclose(W @ V.T, np.diag([2.0, 0.0]), atol=1e-12)
 
-    def test_dual_supported_on_mask_every_iteration(self):
+    def test_dual_supported_on_mask_every_iteration(self, monkeypatch):
+        # every shrinkage operand is the dual, scattered on the mask
         inst, _ = make_instance(25, 2, 0.4, 0.0, seed=6)
-        obs = inst.obs
         off_mask = np.ones((25, 25), dtype=bool)
-        off_mask[obs.rows, obs.cols] = False
-        X = np.zeros((25, 25))
-        for _ in range(8):
-            _, X, _ = svt_step(X, obs, tau=20.0, delta=1.2 / inst.p)
-            assert np.all(X[off_mask] == 0.0)
+        off_mask[inst.obs.rows, inst.obs.cols] = False
+        operands = []
+
+        def record(A, k, **kwargs):
+            operands.append(A.copy())
+            return linalg.truncated_svd(A, k, **kwargs)
+
+        monkeypatch.setattr(matcomp, "truncated_svd", record)
+        res = svt_complete(inst, rule=default_masked_rule(max_iter=8))
+        assert res.iterations == 8
+        assert len(operands) >= 8
+        assert any(np.any(A != 0.0) for A in operands)
+        for A in operands:
+            assert np.all(A[off_mask] == 0.0)
 
     def test_desk_scale_converges_with_data_driven_rank(self, desk_instance):
         inst, M = desk_instance
@@ -345,7 +365,8 @@ class TestShrinkageOnTheSubspacePath:
             state = SvdWarmStart()
             nearby = X + 1e-4 * tau * np.random.default_rng(4).standard_normal(X.shape)
             shrink_singular_values(nearby, tau, warm=state)
-        out, count = shrink_singular_values(X, tau, warm=state)
+        W, V = shrink_singular_values(X, tau, warm=state)
+        out, count = W @ V.T, W.shape[1]
         ref, ref_count = shrink_reference(X, tau)
         assert count == ref_count == 5
         # the kept values settle to the tolerance; their vectors, whose
@@ -363,7 +384,8 @@ class TestShrinkageOnTheSubspacePath:
         X, V = known_spectrum(s, seed=1)
         state = SvdWarmStart()
         state.basis = V[:, :c]
-        out, count = shrink_singular_values(X, tau, start_k=c + 1, warm=state)
+        W, V_kept = shrink_singular_values(X, tau, start_k=c + 1, warm=state)
+        out, count = W @ V_kept.T, W.shape[1]
         assert count == c + 1
         assert np.linalg.norm(out - shrink_reference(X, tau)[0], 2) < np.sqrt(self.TOL) * s[0]
 
