@@ -115,7 +115,8 @@ class RecoveryReport:
         return self
 
 
-def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=None):
+def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=None,
+                     trace=None):
     """Shared core of the multiplier methods.
 
     Iterates a regularized least-squares step (with an optional constant
@@ -128,7 +129,8 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=
     decouple the dual from the least-squares step and stall convergence.
     Returns a RunResult whose state is SplittingState(x=dual, y=least-squares
     iterate, z=consensus iterate), the names the reports' end_state uses; a
-    non-finite step ends the run diverged with the last finite triple.
+    non-finite step ends the run diverged with the last finite triple. The
+    rows go to trace when one is given (see _iterate).
     """
     n = A.shape[1]
     solver = GramSolver(A) if solver is None else solver
@@ -147,14 +149,14 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=
         return SplittingState(x=x + rho * gap, y=y, z=z)
 
     def measure(old, new, t, norms):
-        r = math.sqrt(gap_sq)
-        return SimpleNamespace(t=t, dy_norm=math.sqrt(_sq_norm(new.y - old.y)), zy_gap=r,
-                               r_primal=r, s_dual=rho * math.sqrt(_sq_norm(new.z - old.z)),
+        return SimpleNamespace(t=t, dy_norm=math.sqrt(_sq_norm(new.y - old.y)),
+                               zy_gap=math.sqrt(gap_sq),
+                               s_dual=rho * math.sqrt(_sq_norm(new.z - old.z)),
                                x_norm=norms[0], y_norm=norms[1], z_norm=norms[2])
 
     start = SplittingState(x=np.zeros(n) if x0 is None else x0.copy(), y=np.zeros(n),
                            z=np.zeros(n) if z0 is None else z0.copy())
-    return _iterate(advance, measure, start, rule)
+    return _iterate(advance, measure, start, rule, trace)
 
 
 def noise_scaled_weight(A, sigma):
@@ -211,7 +213,9 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     solution is the unthresholded least-squares iterate y of the last inner
     pass, not its thresholded consensus iterate z (admm_lasso reports z), so
     its truncated sparsity counts small entries the threshold would zero.
-    The report's trace is that of the last inner pass.
+    The report's trace holds the rows of all inner passes in order, its t
+    column restarting at 1 with each pass, and its length is the iteration
+    count.
     """
     if inner_rule is None:
         inner_rule = StoppingRule(max_iter=5000)
@@ -225,14 +229,13 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     y_outer = np.zeros(inst.n)
     z0 = x0 = None
     shift = None
-    total = 0
+    trace = RunTrace()
     status = MAX_ITER
     for _ in range(outer_max):
         ny = np.linalg.norm(y_outer)
         shift = (lam / ny) * y_outer if ny > 0 else None
         res = _multiplier_loop(inst.A, inst.b, lam, rho, inner_rule, shift=shift,
-                               z0=z0, x0=x0, solver=solver)
-        total += len(res.trace)
+                               z0=z0, x0=x0, solver=solver, trace=trace)
         if res.status == DIVERGED:
             status = DIVERGED
             break
@@ -241,10 +244,10 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
         if change < outer_tol:
             status = CONVERGED if res.status == CONVERGED else MAX_ITER
             break
-    report = RecoveryReport(x_opt=y_outer, iterations=total, status=status,
+    report = RecoveryReport(x_opt=y_outer, iterations=len(trace), status=status,
                             end_state=dict(y=y_outer, z=z0, x=x0, lam=lam,
                                            rho=rho, shift=shift),
-                            trace=res.trace)
+                            trace=trace)
     return report.attach_metrics(inst.x_true)
 
 
@@ -272,8 +275,6 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
     1e-12 are counted in the report's origin_hits, and beta_local reports
     lam / min ||y|| as the locally valid smoothness constant.
     """
-    if rule is None:
-        rule = StoppingRule()
     lam = L12_LAMBDA if lam is None else lam
     if not lam >= 0:
         raise ValueError("lam must be nonnegative")

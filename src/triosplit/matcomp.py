@@ -73,7 +73,7 @@ class CompletionResult:
     status: str
     trace: RunTrace
     relative_error: Optional[float] = None
-    svd_sweeps: int = 0  # sweeps of the SVDs the run's SvdWarmStart kept (not energy checks)
+    svd_sweeps: int = 0  # sweeps of the SVDs the run's SvdWarmStart kept
     svd_products: int = 0  # their products with the operand or its transpose
 
 
@@ -201,18 +201,13 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
         nonlocal y_on
         s = state[2]
         g = steps.gamma
-        try:
-            if g <= 0:
-                raise ValueError("gamma must be positive")
-            x_on = last.z_on - s
-            y_on = (x_on + g * obs.values) / (1.0 + g)
-            scale = 1.0 - g * lam
-            if scale != 1.0:
-                np.multiply(buf, scale, out=buf)
-            buf_flat[flat] = 2.0 * y_on - g * (lam * y_on) - x_on
-            W, V = _project_into(buf, r, warm)
-        except Exception as exc:
-            raise steps.failure(t) from exc
+        x_on = last.z_on - s
+        y_on = (x_on + g * obs.values) / (1.0 + g)
+        scale = 1.0 - g * lam
+        if scale != 1.0:
+            np.multiply(buf, scale, out=buf)
+        buf_flat[flat] = 2.0 * y_on - g * (lam * y_on) - x_on
+        W, V = _project_into(buf, r, warm)
         return W, V, y_on - x_on
 
     def measure(old, new, t, norms):
@@ -226,10 +221,10 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
         dz_on_sq = _sq_norm(z_on - last.z_on)
         dz_off_sq = max(_factored_diff_sq(W_new, V_new, W, V) - dz_on_sq, 0.0)
         x_on = z_on - s_new
-        zy = math.sqrt(dz_off_sq + _sq_norm(z_on - y_on))
         row = SimpleNamespace(
             t=t, gamma=steps.gamma, dy_norm=math.sqrt(last.dz_off_sq + _sq_norm(y_on - last.y_on)),
-            zy_gap=zy, r_primal=zy, s_dual=math.sqrt(dz_off_sq + dz_on_sq),
+            zy_gap=math.sqrt(dz_off_sq + _sq_norm(z_on - y_on)),
+            s_dual=math.sqrt(dz_off_sq + dz_on_sq),
             x_norm=math.sqrt(z_off_sq + _sq_norm(x_on)),
             y_norm=math.sqrt(last.z_off_sq + _sq_norm(y_on)), z_norm=z_norm,
             y_inf=max(last.z_off_inf, float(np.abs(y_on).max())))

@@ -118,7 +118,7 @@ class RunTrace:
     KeyError, and an empty trace reads every column as an empty array.
     """
 
-    CSV_COLUMNS = ("iter", "gamma", "energy", "dy_norm", "zy_gap", "r_primal", "s_dual")
+    CSV_COLUMNS = ("iter", "gamma", "energy", "dy_norm", "zy_gap", "s_dual")
 
     def __init__(self):
         self._names = ()
@@ -285,15 +285,16 @@ def check_stop(rule, row, dims):
 
     A row that records a stop_metric (a relative masked residual) passes
     when stop_metric < eps_rel. Any other row is held to the residual pair,
-    both inclusive:
-        r_primal <= sqrt(dims)*eps_abs + eps_rel*max(y_norm, z_norm)
-        s_dual   <= sqrt(dims)*eps_abs + eps_rel*x_norm
+    both inclusive, whose primal part is zy_gap = ||z - y||, the quantity
+    stationarity_bound reads:
+        zy_gap <= sqrt(dims)*eps_abs + eps_rel*max(y_norm, z_norm)
+        s_dual <= sqrt(dims)*eps_abs + eps_rel*x_norm
     """
     metric = getattr(row, "stop_metric", None)
     if metric is not None:
         return metric < rule.eps_rel
     base = math.sqrt(dims) * rule.eps_abs
-    ok_r = row.r_primal <= base + rule.eps_rel * max(row.y_norm, row.z_norm)
+    ok_r = row.zy_gap <= base + rule.eps_rel * max(row.y_norm, row.z_norm)
     ok_s = row.s_dual <= base + rule.eps_rel * row.x_norm
     return ok_r and ok_s
 
@@ -312,13 +313,16 @@ class _StepPolicy:
     gamma0 = max_step_size(L, l, beta). With k (at least 1) the loop starts
     at k * gamma0, and update() decays the step after each trace row per
     adapt_gamma. A fixed gamma replaces the policy; with neither, the step
-    is fixed at DEFAULT_STEP_FRACTION * gamma0. Passing both raises
-    ValueError. run and the completion solvers each hold one per run.
+    is fixed at DEFAULT_STEP_FRACTION * gamma0. Passing both, or a fixed
+    gamma that is not positive (NaN included), raises ValueError before the
+    run takes a step. run and the completion solvers each hold one per run.
     """
 
     def __init__(self, L, l, beta, gamma=None, k=None):
         if gamma is not None and k is not None:
             raise ValueError("pass either gamma or k, not both")
+        if gamma is not None and not gamma > 0:
+            raise ValueError("gamma must be positive")
         if k is not None and not k >= 1:
             raise ValueError("k must be at least 1")
         self.gamma0 = max_step_size(L, l, beta)
@@ -334,11 +338,6 @@ class _StepPolicy:
         """Set the next iteration's step size from the latest trace row."""
         if self.adaptive:
             self.gamma = adapt_gamma(self.gamma0, self.gamma, row)
-
-    def failure(self, t):
-        """The OracleError to raise, from the oracle's own error, when a step
-        fails at iteration t."""
-        return OracleError(f"oracle failure at iteration {t} (gamma={self.gamma!r})")
 
 
 def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
@@ -380,17 +379,13 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
 
     def advance(state, t):
         nonlocal zy_sq
-        try:
-            new, gap = dys_step(problem, state, steps.gamma)
-        except Exception as exc:
-            raise steps.failure(t) from exc
+        new, gap = dys_step(problem, state, steps.gamma)
         zy_sq = _sq_norm(gap)
         return new
 
     def measure(old, new, t, norms):
-        zy = math.sqrt(zy_sq)
         row = SimpleNamespace(t=t, gamma=steps.gamma, dy_norm=math.sqrt(_sq_norm(new.y - old.y)),
-                              zy_gap=zy, r_primal=zy, s_dual=math.sqrt(_sq_norm(new.z - old.z)),
+                              zy_gap=math.sqrt(zy_sq), s_dual=math.sqrt(_sq_norm(new.z - old.z)),
                               x_norm=norms[0], y_norm=norms[1], z_norm=norms[2],
                               y_inf=float(max(new.y.max(), -new.y.min())) if new.y.size else 0.0)
         if record_energy:
@@ -403,7 +398,7 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
     return _iterate(advance, measure, start, rule)
 
 
-def _iterate(advance, measure, start, rule):
+def _iterate(advance, measure, start, rule, trace=None):
     """The one iteration loop behind every solver; returns a RunResult.
 
     advance(state, t) returns iteration t's state, a tuple of arrays (a
@@ -411,18 +406,24 @@ def _iterate(advance, measure, start, rule):
     its trace row (see RunTrace) once every array of the new state is
     finite, given the arrays' Frobenius norms, bit for bit those of
     np.linalg.norm. check_stop scales its tolerances by the size of the
-    state's first array. A non-finite state ends the run diverged, keeping
-    the last finite state and not counting the failed iteration, so the
-    count is always len(trace); a recorded y_inf above 1e30 ends it diverged
-    at that state. The finiteness test reads each array's squared norm and
-    scans the entries only when that sum is not finite, which also happens
-    when finite entries overflow it.
+    state's first array. A step that raises is an OracleError naming
+    iteration t, with the step's own error as its __cause__. A non-finite
+    state ends the run diverged, keeping the last finite state and not
+    counting the failed iteration; a recorded y_inf above 1e30 ends it
+    diverged at that state. The rows are appended to trace, a new RunTrace
+    unless given, so a solver's iteration count is its trace's length. The
+    finiteness test reads each array's squared norm and scans the entries
+    only when that sum is not finite, which also happens when finite
+    entries overflow it.
     """
     dims = start[0].size
-    trace = RunTrace()
+    trace = RunTrace() if trace is None else trace
     state, start = start, None  # keep no reference to a state the loop has left
     for t in range(1, rule.max_iter + 1):
-        new = advance(state, t)
+        try:
+            new = advance(state, t)
+        except Exception as exc:
+            raise OracleError(f"oracle failure at iteration {t}") from exc
         squares = [_sq_norm(array) for array in new]
         for array, sq in zip(new, squares):
             if not math.isfinite(sq) and not np.isfinite(array).all():

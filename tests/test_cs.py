@@ -8,8 +8,8 @@ from triosplit.cs import (SPARSITY_TRUNCATION, SensingInstance, _multiplier_loop
 from triosplit.datagen import DctSpec, gen_dct_matrix, gen_sparse_signal
 from triosplit.linalg import gram_spectral_norm
 from triosplit.prox import GramSolver, grad_neg_l2, soft_threshold
-from triosplit.splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, RunResult,
-                                 SplittingState, StoppingRule, max_step_size)
+from triosplit.splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, OracleError,
+                                 RunResult, SplittingState, StoppingRule, max_step_size)
 
 from oracles import ista_lasso
 
@@ -43,6 +43,16 @@ class NanOnThirdSolve:
         self.calls += 1
         y = self.solver.solve(mu, rhs)
         return np.full_like(y, np.nan) if self.calls == 3 else y
+
+
+class RaiseOnThirdSolve(NanOnThirdSolve):
+    """Gram solver stand-in whose third solve raises."""
+
+    def solve(self, mu, rhs):
+        y = super().solve(mu, rhs)
+        if self.calls == 3:
+            raise np.linalg.LinAlgError("singular factor")
+        return y
 
 
 class TestSensingInstance:
@@ -156,7 +166,7 @@ class TestMultiplierLoop:
         assert ref.status == MAX_ITER
         for name in ("x", "y", "z"):
             assert np.array_equal(getattr(res.state, name), getattr(ref.state, name))
-        assert np.array_equal(res.trace.column("r_primal"), ref.trace.column("r_primal"))
+        assert np.array_equal(res.trace.column("zy_gap"), ref.trace.column("zy_gap"))
 
     def test_first_step_names_dual_least_squares_and_consensus(self):
         rng = np.random.default_rng(18)
@@ -180,18 +190,27 @@ class TestMultiplierLoop:
             assert np.isfinite(rep.end_state[key]).all()
         assert np.array_equal(rep.x_opt, rep.end_state["z"])
 
+    @pytest.mark.parametrize("solver", [admm_lasso, dca_l12])
+    def test_a_failed_solve_raises_oracle_error_naming_its_iteration(self, monkeypatch, solver):
+        rng = np.random.default_rng(17)
+        inst = gaussian_instance(rng, 15, 40, 3)
+        monkeypatch.setattr(cs, "GramSolver", RaiseOnThirdSolve)
+        with pytest.raises(OracleError, match="iteration 3") as info:
+            solver(inst, lam=1e-4, rho=1e-3)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_reports_carry_the_driver_trace(self):
         rng = np.random.default_rng(18)
         inst = gaussian_instance(rng, 15, 40, 3)
         rule = StoppingRule(max_iter=5000)
         admm = admm_lasso(inst, rule=rule, lam=1e-4, rho=1e-3)
         assert len(admm.trace) == admm.iterations
-        assert admm.trace.last.r_primal == admm.trace.column("zy_gap")[-1]
         with pytest.raises(KeyError):
             admm.trace.column("gamma")
         dca = dca_l12(inst, inner_rule=rule, lam=1e-4, rho=1e-3)
-        # the trace is the last inner pass's, so it is shorter than the total
-        assert 0 < len(dca.trace) < dca.iterations
+        # the trace holds every inner pass, each restarting t at 1
+        assert len(dca.trace) == dca.iterations
+        assert np.count_nonzero(dca.trace.column("t") == 1) > 1
 
 
 class TestDcaL12:

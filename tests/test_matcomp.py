@@ -157,7 +157,9 @@ class TestDysComplete:
         res = dys_complete(inst, rule=default_masked_rule(max_iter=1))
         assert res.trace.column("gamma")[0] == splitting.DEFAULT_K * max_step_size(1.0, 0.0, inst.lam)
 
-    def test_a_failed_projection_raises_oracle_error_naming_its_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
+    def test_a_failed_projection_raises_oracle_error_naming_its_iteration(self, monkeypatch,
+                                                                          solver):
         inst, _ = make_instance(30, 2, 0.6, 1e-6, seed=11)
         calls = []
 
@@ -169,7 +171,7 @@ class TestDysComplete:
 
         monkeypatch.setattr(matcomp, "truncated_svd", fail_second)
         with pytest.raises(splitting.OracleError, match="iteration 2") as info:
-            dys_complete(inst)
+            solver(inst)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
@@ -281,7 +283,7 @@ class TestBaselineTraces:
         t = np.arange(1, len(res.trace) + 1)
         assert np.allclose(res.trace.column("gamma"), 1.0 / (inst.p * np.sqrt(t)))
         assert res.trace.last.stop_metric == masked_relative_residual(res.X_opt, inst.obs)
-        for name in ("energy", "r_primal", "y_norm"):
+        for name in ("energy", "zy_gap", "y_norm"):
             with pytest.raises(KeyError):
                 res.trace.column(name)
 

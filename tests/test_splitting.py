@@ -7,7 +7,7 @@ import pytest
 from triosplit import cs, matcomp
 from triosplit.cs import admm_lasso, SensingInstance
 from triosplit.linalg import ObservationSet
-from triosplit.prox import soft_threshold
+from triosplit.prox import GramSolver, soft_threshold
 from triosplit.splitting import (CONVERGED, DIVERGED, MAX_ITER,
                                  DiagnosticsUnavailable, OracleError, RunTrace,
                                  SplittingState, StoppingRule,
@@ -67,8 +67,7 @@ def make_composite_problem(rng, n, g_kind="l1", g_weight=0.5, L=1.0, beta=0.7):
 
 def make_record(**kv):
     defaults = dict(t=1, gamma=0.1, energy=float("nan"), dy_norm=0.0, zy_gap=0.0,
-                    r_primal=0.0, s_dual=0.0, x_norm=0.0, y_norm=0.0, z_norm=0.0,
-                    y_inf=0.0)
+                    s_dual=0.0, x_norm=0.0, y_norm=0.0, z_norm=0.0, y_inf=0.0)
     defaults.update(kv)
     return SimpleNamespace(**defaults)
 
@@ -283,21 +282,21 @@ class TestAdaptGamma:
 class TestCheckStop:
     def test_zero_residuals_pass(self):
         rule = StoppingRule(eps_abs=1e-7, eps_rel=1e-5)
-        rec = make_record(r_primal=0.0, s_dual=0.0, y_norm=1.0, z_norm=1.0, x_norm=1.0)
+        rec = make_record(zy_gap=0.0, s_dual=0.0, y_norm=1.0, z_norm=1.0, x_norm=1.0)
         assert check_stop(rule, via_trace(rec), dims=10)
 
     def test_threshold_is_inclusive(self):
         rule = StoppingRule(eps_abs=1e-3, eps_rel=1e-2)
         thr_r = np.sqrt(4) * 1e-3 + 1e-2 * 1.0
-        rec = make_record(r_primal=thr_r, s_dual=0.0, y_norm=1.0, z_norm=1.0, x_norm=0.0)
+        rec = make_record(zy_gap=thr_r, s_dual=0.0, y_norm=1.0, z_norm=1.0, x_norm=0.0)
         assert check_stop(rule, via_trace(rec), dims=4)
-        rec2 = make_record(r_primal=np.nextafter(thr_r, 1.0), s_dual=0.0,
+        rec2 = make_record(zy_gap=np.nextafter(thr_r, 1.0), s_dual=0.0,
                            y_norm=1.0, z_norm=1.0, x_norm=0.0)
         assert not check_stop(rule, via_trace(rec2), dims=4)
 
     def test_both_residuals_required(self):
         rule = StoppingRule(eps_abs=1e-3, eps_rel=1e-2)
-        rec = make_record(r_primal=0.0, s_dual=1.0, y_norm=1.0, z_norm=1.0, x_norm=1.0)
+        rec = make_record(zy_gap=0.0, s_dual=1.0, y_norm=1.0, z_norm=1.0, x_norm=1.0)
         assert not check_stop(rule, via_trace(rec), dims=4)
 
     def test_masked_mode_strict_inequality(self):
@@ -306,7 +305,7 @@ class TestCheckStop:
         assert not check_stop(rule, via_trace(make_record(stop_metric=1e-4)), dims=4)
         assert not check_stop(rule, via_trace(make_record(stop_metric=float("nan"))), dims=4)
         # the metric alone decides: residuals far above the pair's bound do not block it
-        rec = make_record(stop_metric=0.0, r_primal=1.0, s_dual=1.0)
+        rec = make_record(stop_metric=0.0, zy_gap=1.0, s_dual=1.0)
         assert check_stop(rule, via_trace(rec), dims=4)
 
     def test_max_iter_gives_max_iter_status_not_success(self):
@@ -348,11 +347,44 @@ PLAIN_RULE = StoppingRule(max_iter=200)
 ], ids=["dys_l12", "dca_l12", "admm_lasso", "dys_complete", "drs_complete",
         "svp_complete", "svt_complete"])
 def test_every_solver_stops_under_a_plain_rule(call, dims):
-    """Each solver's rows pick the test it can evaluate; none raises."""
+    """Each solver's rows pick the test it can evaluate; none raises, and
+    every solver counts its iterations as the rows of its trace."""
     res = call()
     assert res.status in (CONVERGED, MAX_ITER, DIVERGED)
+    assert res.iterations == len(res.trace)
     if res.status == CONVERGED:
         assert check_stop(PLAIN_RULE, res.trace.last, dims)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("solver", ["run", "dys_l12", "dys_complete", "drs_complete"])
+def test_a_fixed_step_that_is_not_positive_is_rejected_before_any_oracle_call(monkeypatch, solver,
+                                                                             gamma):
+    calls = []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return wrapper
+
+    if solver == "run":
+        problem = ThreeTermProblem(prox_f=counted(identity_prox), prox_g=counted(identity_prox),
+                                   grad_h=counted(np.zeros_like), L=1.0)
+        call = lambda: run(problem, np.ones(3), gamma=gamma)
+    elif solver == "dys_l12":
+        class CountingGram(GramSolver):
+            solve = counted(GramSolver.solve)
+        monkeypatch.setattr(cs, "GramSolver", CountingGram)
+        monkeypatch.setattr(cs, "soft_threshold", counted(cs.soft_threshold))
+        monkeypatch.setattr(cs, "grad_neg_l2", counted(cs.grad_neg_l2))
+        call = lambda: cs.dys_l12(small_sensing_instance(), gamma=gamma)
+    else:
+        monkeypatch.setattr(matcomp, "truncated_svd", counted(matcomp.truncated_svd))
+        call = lambda: getattr(matcomp, solver)(small_completion_instance(), gamma=gamma)
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        call()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +641,7 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     res.trace.to_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,gamma,energy,dy_norm,zy_gap,r_primal,s_dual"
+    assert lines[0] == "iter,gamma,energy,dy_norm,zy_gap,s_dual"
     assert len(lines) == 1 + len(res.trace)
     first = lines[1].split(",")
     assert int(first[0]) == 1
@@ -623,7 +655,7 @@ def test_trace_csv_of_a_run_that_diverged_on_its_first_step():
     assert res.status == DIVERGED and len(res.trace) == 0
     buf = io.StringIO()
     res.trace.to_csv(buf)
-    assert buf.getvalue() == "iter,gamma,energy,dy_norm,zy_gap,r_primal,s_dual\n"
+    assert buf.getvalue() == "iter,gamma,energy,dy_norm,zy_gap,s_dual\n"
 
 
 class TestRunTrace:
@@ -678,7 +710,7 @@ class TestRunTrace:
         assert len(lines) == 1 + len(rep.trace)
         cells = lines[1].split(",")
         assert cells[:3] == ["1", "nan", "nan"]  # iter, gamma, energy
-        assert float(cells[6]) == rep.trace.column("s_dual")[0]
+        assert float(cells[5]) == rep.trace.column("s_dual")[0]
 
 
 class TestIterate:
