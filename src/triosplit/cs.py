@@ -74,9 +74,9 @@ class EvalMetrics(NamedTuple):
     sparsity: int
 
 
-def truncated_sparsity(x, cutoff=SPARSITY_TRUNCATION):
-    """Support size after zeroing entries below the cutoff magnitude."""
-    return int(np.count_nonzero(np.abs(np.asarray(x, float)) >= cutoff))
+def truncated_sparsity(x):
+    """Support size after zeroing entries below SPARSITY_TRUNCATION in magnitude."""
+    return int(np.count_nonzero(np.abs(np.asarray(x, float)) >= SPARSITY_TRUNCATION))
 
 
 def evaluate(x_opt, x_true):
@@ -273,7 +273,8 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
     tens to hundreds. At small weights the cap lies above k * gamma0 and
     changes nothing; lam = 0 keeps k * gamma0. Iterates whose norm falls below
     1e-12 are counted in the report's origin_hits, and beta_local reports
-    lam / min ||y|| as the locally valid smoothness constant.
+    lam / min ||y|| as the locally valid smoothness constant. k=None, like
+    run's, fixes the step at DEFAULT_STEP_FRACTION * gamma0, with no cap.
     """
     lam = L12_LAMBDA if lam is None else lam
     if not lam >= 0:
@@ -303,7 +304,7 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
                                l=0.0, beta=1.0, **values)
     if gamma is not None:
         k = None
-    elif lam > 0:
+    elif lam > 0 and k is not None:
         gamma0 = max_step_size(problem.L, problem.l, problem.beta)
         k = min(k, max(1.0, float(np.max(np.abs(Atb))) / (lam * gamma0)))
     res = run(problem, np.zeros(inst.n), gamma=gamma, k=k, rule=rule)

@@ -9,7 +9,6 @@ draws).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,39 +49,28 @@ def observe(M, rows_idx, cols_idx):
 
 @dataclass(frozen=True)
 class DctSpec:
-    """Oversampled cosine frame parameters; xi is the shared frequency draw."""
+    """Oversampled cosine frame parameters: m rows, n columns, refinement F."""
 
     m: int
     n: int
     refinement: int
-    xi: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.refinement < 1:
             raise ValueError("refinement must be at least 1")
         if self.m < 1 or self.n < 1:
             raise ValueError("dimensions must be positive")
-        if self.xi is not None:
-            xi = np.asarray(self.xi, dtype=float)
-            object.__setattr__(self, "xi", xi)
-            if xi.shape != (self.m,):
-                raise ValueError("xi must have one entry per row")
-            if xi.min() < 0.0 or xi.max() > 1.0:
-                raise ValueError("xi entries must lie in [0, 1]")
 
 
 def gen_dct_matrix(spec, seed=0):
     """Sensing matrix with columns cos(2*pi*i*xi/F)/sqrt(m), i = 0..n-1.
 
-    One frequency vector xi ~ U[0,1]^m is shared by all columns; it is drawn
-    from the seed unless the spec pins it. Larger refinement F makes the
-    columns more coherent; zero-based column indexing keeps the leading
-    columns nearly parallel, which is what pushes the mutual coherence above
-    0.99 at F = 10.
+    One frequency vector xi ~ U[0,1]^m, drawn from the seed, is shared by
+    all columns. Larger refinement F makes the columns more coherent;
+    zero-based column indexing keeps the leading columns nearly parallel,
+    which is what pushes the mutual coherence above 0.99 at F = 10.
     """
-    xi = spec.xi
-    if xi is None:
-        xi = np.random.default_rng(seed).uniform(size=spec.m)
+    xi = np.random.default_rng(seed).uniform(size=spec.m)
     i = np.arange(spec.n)
     return np.cos(2.0 * np.pi * np.outer(xi, i) / spec.refinement) / np.sqrt(spec.m)
 

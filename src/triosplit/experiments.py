@@ -31,7 +31,6 @@ from .splitting import (CONVERGED, DEFAULT_STEP_FRACTION, DIVERGED, StoppingRule
 TASKS = ("matcomp_synth", "matcomp_ratings", "cs_recovery", "cs_noise", "diagnose")
 MATCOMP_METHODS = ("dys", "drs", "svp", "svt")
 CS_METHODS = ("dys", "dca", "admm")
-_CS_ALIASES = {"dys_l12": "dys", "dca_l12": "dca", "admm_lasso": "admm"}
 RATINGS_K = 100.0  # start step multiplier of dys and drs on ratings runs
 
 
@@ -103,7 +102,6 @@ def _normalize_methods(task, methods):
     if isinstance(methods, str):
         methods = tuple(s.strip() for s in methods.split(",") if s.strip())
     methods = tuple(str(m).lower() for m in methods)
-    methods = tuple(_CS_ALIASES.get(m, m) for m in methods)
     known = MATCOMP_METHODS if task.startswith("matcomp") else CS_METHODS
     if not methods:
         if task == "matcomp_ratings":
@@ -444,17 +442,17 @@ def _run_cs(config):
     return table
 
 
-def diagnose_gamma(L, l, beta, grid_points=25):
+def diagnose_gamma(L, l, beta):
     """Step-size report as a diagnose.v1 table: the threshold root, the
     recommended fixed step (run's default, DEFAULT_STEP_FRACTION * gamma0),
-    and the descent coefficient over a log grid around the root."""
+    and the descent coefficient over a 25-point log grid around the root."""
     gamma0 = max_step_size(L, l, beta)
     recommended = DEFAULT_STEP_FRACTION * gamma0
     table = ResultTable("diagnose.v1", DIAGNOSE_COLUMNS)
     table.add(record="root", gamma=gamma0, lambda_value=lambda_threshold(gamma0, L, l, beta))
     table.add(record="recommended", gamma=recommended,
               lambda_value=lambda_threshold(recommended, L, l, beta))
-    for g in np.geomspace(gamma0 * 1e-3, gamma0 * 10.0, grid_points):
+    for g in np.geomspace(gamma0 * 1e-3, gamma0 * 10.0, 25):
         table.add(record="grid", gamma=float(g), lambda_value=lambda_threshold(g, L, l, beta))
     return table
 

@@ -244,17 +244,16 @@ def _chebyshev_filter(A, V, degree, edge):
 
 
 @functools.lru_cache(maxsize=8)
-def _gaussian_block(n, p, seed):
-    """truncated_svd's seeded n x p Gaussian block for an int seed, drawn
-    once per (n, p, seed) rather than once per call, and read-only because
-    every call with those arguments shares it."""
-    G = np.random.default_rng(seed).standard_normal((n, p))
+def _gaussian_block(n, p):
+    """truncated_svd's n x p Gaussian block, seeded by 0 and drawn once per
+    shape rather than once per call, and read-only because every call of
+    that shape shares it."""
+    G = np.random.default_rng(0).standard_normal((n, p))
     G.setflags(write=False)
     return G
 
 
-def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, start=None,
-                  floor=None):
+def truncated_svd(A, k, tol=1e-10, dense_cutoff=64, max_sweeps=200, start=None, floor=None):
     """Top-k singular triplet of a dense matrix.
 
     Matrices whose smaller dimension is at most ``dense_cutoff`` are handled
@@ -281,8 +280,8 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     ``R = Ur diag(s) Vr^T``, rotates both bases onto the Ritz vectors:
     ``V <- V Ur`` and ``U = Q Vr``. Both products are formed as the thin
     factor times A or its transpose, ``(V^T A^T)^T`` and ``Q^T A``, the
-    faster order for the BLAS. A cold call takes its basis from a seeded
-    Gaussian block G (n x p) through one half-step each way,
+    faster order for the BLAS. A cold call takes its basis from a Gaussian
+    block G (n x p), seeded by 0, through one half-step each way,
     ``V = qr(A^T qr(A G))``, so its plain sweeps are those of the classical
     iteration that orthonormalizes both ``A V`` and ``A^T Q`` and reads the
     values from the SVD of ``Q^T A``.
@@ -309,15 +308,14 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
     sweep and moves the values by more than ``tol`` until it is captured.
     With plain sweeps that needs the missed value to lead the (p+1)-th
     clearly (10 against 5 does; 5.5 against 5 does not, while a filtered
-    call finds 5.5), so starts should come from nearby matrices. The result depends on the start only to within the settling
-    tolerance, as it depends on the seed.
+    call finds 5.5), so starts should come from nearby matrices. The result
+    depends on the start only to within the settling tolerance.
 
     Parameters
     ----------
     A : array, m x n
     k : int, 1 <= k <= min(m, n)
     tol : float, relative settling tolerance for the singular values
-    seed : int or Generator, fixes the Gaussian block
     dense_cutoff : int, dimension below which the dense path is used
     max_sweeps : int, sweep cap; exceeding it raises TruncatedSvdError
     start : array, n x c, optional right basis to start from; ignored on
@@ -339,10 +337,7 @@ def truncated_svd(A, k, tol=1e-10, seed=0, dense_cutoff=64, max_sweeps=200, star
         return SvdTriplet(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
 
     p = min(k + 8, min(m, n))
-    if isinstance(seed, (int, np.integer)):
-        G = _gaussian_block(n, p, int(seed))
-    else:
-        G = np.random.default_rng(seed).standard_normal((n, p))
+    G = _gaussian_block(n, p)
     if start is None:
         Q = np.linalg.qr((G.T @ A.T).T)[0]
         V = np.linalg.qr((Q.T @ A).T)[0]

@@ -85,6 +85,8 @@ def relative_error(X, M):
     """Frobenius error of X against M, relative to ||M||."""
     X = as_matrix(X)
     M = as_matrix(M)
+    if X.shape != M.shape:
+        raise ValueError(f"shape mismatch: {X.shape} vs {M.shape}")
     den = np.linalg.norm(M)
     if den == 0.0:
         raise ValueError("reference matrix is zero; relative error undefined")
@@ -98,6 +100,14 @@ def rmse(X, test_obs):
         raise ValueError("test set is empty")
     diff = X.take(test_obs.flat) - test_obs.values
     return math.sqrt(float(np.mean(diff ** 2)))
+
+
+def _check_truth(inst, M_true):
+    """Reject a ground truth that is not a finite matrix of the instance's
+    shape before the run's first SVD, rather than from relative_error after
+    the run."""
+    if M_true is not None and as_matrix(M_true).shape != inst.shape:
+        raise ValueError(f"M_true has shape {np.shape(M_true)}, expected {inst.shape}")
 
 
 def _metric_on_mask(x_on, obs):
@@ -182,6 +192,7 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     z - z_prev; y = z_prev there, so y_inf is exact. No dense x, y or
     difference is formed unless with_energy asks for the energy column.
     """
+    _check_truth(inst, M_true)
     if rule is None:
         rule = default_masked_rule()
     obs, flat, r = inst.obs, inst.obs.flat, inst.r
@@ -286,10 +297,9 @@ def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
     return _masked_complete(inst, 0.0, gamma, rule, k, M_true, with_energy)
 
 
-def svp_complete(inst, rule=None, eta=None, M_true=None):
+def svp_complete(inst, rule=None, M_true=None):
     """Projected gradient baseline: gradient step on the mask, then rank
-    truncation. The default step schedule is 1 / (p * sqrt(t)); a float eta
-    fixes the step instead.
+    truncation, at the step schedule 1 / (p * sqrt(t)).
 
     The iterate X is carried as its rank-r factors over one dense m x n
     buffer that holds X and is returned as X_opt: a step writes the
@@ -297,10 +307,10 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
     place, and the change of the estimate, dy_norm, is read from the
     factors.
     """
+    _check_truth(inst, M_true)
     if rule is None:
         rule = default_masked_rule()
     obs, flat, r, p = inst.obs, inst.obs.flat, inst.r, inst.p
-    eta = None if eta is None else float(eta)
     warm = SvdWarmStart()
     buf = np.zeros(inst.shape)  # the iterate X, the run's one dense array
     x_on = np.zeros(len(obs))  # X on the mask
@@ -308,7 +318,7 @@ def svp_complete(inst, rule=None, eta=None, M_true=None):
 
     def advance(state, t):
         nonlocal step
-        step = 1.0 / (p * math.sqrt(t)) if eta is None else eta
+        step = 1.0 / (p * math.sqrt(t))
         buf.reshape(-1)[flat] = x_on - step * (x_on - obs.values)
         return _project_into(buf, r, warm)
 
@@ -366,6 +376,7 @@ def svt_complete(inst, rule=None, M_true=None):
     and writes the primal W V^T back, and the change of the estimate,
     dy_norm, is read from the factors.
     """
+    _check_truth(inst, M_true)
     if rule is None:
         rule = default_masked_rule()
     obs, flat = inst.obs, inst.obs.flat

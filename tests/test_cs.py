@@ -8,8 +8,9 @@ from triosplit.cs import (SPARSITY_TRUNCATION, SensingInstance, _multiplier_loop
 from triosplit.datagen import DctSpec, gen_dct_matrix, gen_sparse_signal
 from triosplit.linalg import gram_spectral_norm
 from triosplit.prox import GramSolver, grad_neg_l2, soft_threshold
-from triosplit.splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, OracleError,
-                                 RunResult, SplittingState, StoppingRule, max_step_size)
+from triosplit.splitting import (CONVERGED, DEFAULT_K, DEFAULT_STEP_FRACTION, DIVERGED,
+                                 MAX_ITER, OracleError, RunResult, SplittingState,
+                                 StoppingRule, max_step_size)
 
 from oracles import ista_lasso
 
@@ -329,6 +330,14 @@ class TestDysL12:
         assert first == pytest.approx(min(DEFAULT_K * gamma0, cap), rel=1e-13)
         if not noisy:
             assert first == DEFAULT_K * gamma0
+
+    def test_no_start_multiplier_runs_at_the_fixed_step(self):
+        rng = np.random.default_rng(8)
+        inst = gaussian_instance(rng, 10, 30, 2)
+        rep = dys_l12(inst, k=None)
+        gamma0 = max_step_size(gram_spectral_norm(inst.A), 0.0, 1.0)
+        assert rep.status == CONVERGED
+        assert np.all(rep.trace.column("gamma") == DEFAULT_STEP_FRACTION * gamma0)
 
     def test_threshold_iterates_are_exact_shrinkage_outputs(self):
         rng = np.random.default_rng(10)

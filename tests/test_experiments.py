@@ -75,8 +75,10 @@ class TestConfig:
         assert build_config(config_path=path, base={"task": "diagnose"}).beta == 5.0
 
     def test_method_aliases_and_string_lists(self):
-        cfg = ExperimentConfig(task="cs_recovery", methods="admm_lasso, dys_l12")
+        cfg = ExperimentConfig(task="cs_recovery", methods="admm, dys")
         assert cfg.methods == ("admm", "dys")
+        with pytest.raises(ConfigError, match="unknown method 'dys_l12'"):
+            ExperimentConfig(task="cs_recovery", methods="dys_l12")
 
     def test_config_file_keys_keep_their_case(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -256,7 +256,7 @@ class TestSvpComplete:
         M, _ = gen_low_rank(n, r, rng)
         ridx, cidx = sample_omega(n, n, n * n, rng)
         inst = CompletionInstance(observe(M, ridx, cidx), (n, n), r, 0.0)
-        res = svp_complete(inst, eta=1.0, M_true=M)
+        res = svp_complete(inst, M_true=M)
         assert res.iterations == 1
         assert res.relative_error < 1e-10
 
@@ -475,6 +475,28 @@ class TestMetrics:
         assert relative_error(1.01 * M, M) == pytest.approx(0.01, abs=1e-12)
         with pytest.raises(ValueError, match="zero"):
             relative_error(M, np.zeros((6, 6)))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            relative_error(M, M[:1])  # broadcasting would read a number here
+
+    @pytest.mark.parametrize("solver", [dys_complete, drs_complete, svp_complete, svt_complete])
+    @pytest.mark.parametrize("truth, match", [
+        (lambda M: M[:1], "M_true has shape"),
+        (lambda M: M[:, :1], "M_true has shape"),
+        (lambda M: np.where(np.eye(*M.shape, dtype=bool), np.nan, M), "finite"),
+    ], ids=["one-row", "one-column", "nan-entries"])
+    def test_a_malformed_truth_is_rejected_before_the_first_svd(self, solver, truth, match,
+                                                                monkeypatch):
+        inst, M = make_instance(30, 2, 400 / 900, 0.0, seed=5)
+        calls = []
+
+        def counted(A, k, **kwargs):
+            calls.append(k)
+            return linalg.truncated_svd(A, k, **kwargs)
+
+        monkeypatch.setattr(matcomp, "truncated_svd", counted)
+        with pytest.raises(ValueError, match=match):
+            solver(inst, M_true=truth(M))
+        assert calls == []
 
     def test_rmse_exact_and_offset(self):
         rng = np.random.default_rng(8)
