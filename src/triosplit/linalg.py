@@ -22,12 +22,18 @@ class TruncatedSvdError(RuntimeError):
         self.residual = residual
 
 
+def _all_finite(a):
+    """Whether every entry of a is finite, read from its min and max (NaN
+    propagates through both), so no full-size boolean temporary is formed."""
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
+
+
 def as_matrix(A):
     """Validate and return a 2-D float array with finite entries."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {A.shape}")
-    if not np.isfinite(A).all():
+    if not _all_finite(A):
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -37,7 +43,7 @@ def as_vector(v):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D array, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not _all_finite(v):
         raise ValueError("vector entries must be finite")
     return v
 
@@ -123,25 +129,42 @@ class SvdWarmStart:
 
     A solver passes one instance to every SVD-based call it makes; each call
     starts from the ``basis`` the previous one ended on (``truncated_svd``'s
-    ``start``) and stores its own with ``keep``, which also adds the call's
-    sweeps and products to ``sweeps`` and ``products``, the run's totals. It
-    is per-run state, like ``prox.GramSolver``: a fresh instance repeats a
-    run exactly, and concurrent runs each need their own.
+    ``start``) and stores its own with ``keep``, which also keeps the call's
+    singular values as ``values``, records its ``change`` and adds its
+    sweeps and products to ``sweeps`` and ``products``, the run's totals.
+    ``change`` is how far the last call's values stand from settled: 0.0
+    for a settled call; for an unsettled one, the move of its values from
+    the previous call's relative to its largest, the quantity truncated_svd
+    settles (see matcomp._project_into). It is per-run state,
+    like ``prox.GramSolver``: a fresh instance repeats a run exactly, and
+    concurrent runs each need their own.
     """
 
     def __init__(self):
         self.basis = None
+        self.values = None
+        self.change = 0.0
         self.sweeps = 0
         self.products = 0
 
-    def keep(self, t):
-        """Store the basis an SvdTriplet ended on and add its sweeps and products."""
+    def keep(self, t, settled=True):
+        """Store the basis and values an SvdTriplet ended on, record its
+        change and add its sweeps and products."""
+        self.change = 0.0 if settled else float(np.max(np.abs(t.S - self.values)) / _settle_scale(t.S))
         self.basis = t.basis
+        self.values = t.S
         self.sweeps += t.sweeps
         self.products += t.products
 
 
 START_BLEND = 10.0  # weight of the Gaussian block in a warm start, in units of sqrt(tol)
+SETTLE_TOL = 1e-10  # truncated_svd's default settling tolerance
+
+
+def _settle_scale(values):
+    """What a move of the singular values is measured against: the largest
+    value, or the smallest positive float for an all-zero spectrum."""
+    return max(values[0], np.finfo(float).tiny)
 
 
 FLOOR_GUARD_RATIO = 0.8  # slowest shrink of its moves assumed for an estimate below a floor
@@ -253,7 +276,55 @@ def _gaussian_block(n, p):
     return G
 
 
-def truncated_svd(A, k, tol=1e-10, dense_cutoff=64, max_sweeps=200, start=None, floor=None):
+def _sweep(A, V):
+    """One sweep of subspace iteration from the right basis V (n x p):
+    ``Q = qr(A V)`` and ``V R = qr(A^T Q)``, each product formed as the thin
+    factor times A or its transpose. Returns Q, the new V and R."""
+    Q = np.linalg.qr((V.T @ A.T).T)[0]
+    V, R = np.linalg.qr((Q.T @ A).T)
+    return Q, V, R
+
+
+def _ritz_triplet(Q, V, R, k, sweeps, products):
+    """The top-k SvdTriplet a sweep ended on: one SVD of R,
+    ``R = Ur diag(s) Vr^T``, rotates both bases onto the Ritz vectors,
+    ``V <- V Ur`` and ``U = Q Vr``; the whole rotated V is the basis."""
+    Ur, s, Vrt = np.linalg.svd(R)
+    V = V @ Ur
+    return SvdTriplet(Q @ Vrt[:k].T, s[:k].copy(), V[:, :k].copy(),
+                      basis=V, sweeps=sweeps, products=products)
+
+
+def _one_sweep(A, k, start):
+    """Top-k triplet of A from a single sweep from the right basis ``start``
+    (n x p, p >= k), the ``basis`` of the last call on a nearby matrix.
+
+    The start is blended with the seeded Gaussian block G (n x p) at the
+    weight truncated_svd gives a start at its default tolerance,
+    ``START_BLEND * sqrt(SETTLE_TOL)`` (1e-4) of its norm, then swept once
+    (``_sweep``) and rotated onto the Ritz vectors (``_ritz_triplet``): one
+    sweep, two products. The result is exactly rank k, but only as near the
+    top-k triplet as one sweep takes it. Repeated on a slowly changing
+    matrix, each call starting from the basis the last one ended on, the
+    calls are the sweeps of one subspace iteration, and the blend keeps a
+    direction the basis misses growing from call to call.
+
+    The blend is ``G G^T start`` rather than truncated_svd's column-by-column
+    G, so it turns with the basis and the result depends on the span of
+    ``start`` alone. The last call's rotation orders the columns of a
+    trailing cluster of near-tied Ritz values arbitrarily; a settled call
+    sweeps that choice away, a single sweep would carry it forward (with the
+    column blend, two drs runs whose arguments differ by rounding moved from
+    1e-15 to 5e-10 apart at one such tie).
+    """
+    G = _gaussian_block(*start.shape)
+    B = G @ (G.T @ start)
+    weight = START_BLEND * math.sqrt(SETTLE_TOL) * np.linalg.norm(start) / np.linalg.norm(B)
+    V = start + weight * B
+    return _ritz_triplet(*_sweep(A, V), k, sweeps=1, products=2)
+
+
+def truncated_svd(A, k, tol=SETTLE_TOL, dense_cutoff=64, max_sweeps=200, start=None, floor=None):
     """Top-k singular triplet of a dense matrix.
 
     Matrices whose smaller dimension is at most ``dense_cutoff`` are handled
@@ -339,8 +410,7 @@ def truncated_svd(A, k, tol=1e-10, dense_cutoff=64, max_sweeps=200, start=None, 
     p = min(k + 8, min(m, n))
     G = _gaussian_block(n, p)
     if start is None:
-        Q = np.linalg.qr((G.T @ A.T).T)[0]
-        V = np.linalg.qr((Q.T @ A).T)[0]
+        V = _sweep(A, G)[1]
         products = 2
     else:
         start = as_matrix(start)
@@ -357,13 +427,12 @@ def truncated_svd(A, k, tol=1e-10, dense_cutoff=64, max_sweeps=200, start=None, 
     for sweep in range(1, max_sweeps + 1):
         if degree:
             V = _chebyshev_filter(A, V, degree, theta[-1])
-        Q = np.linalg.qr((V.T @ A.T).T)[0]
-        V, R = np.linalg.qr((Q.T @ A).T)
+        Q, V, R = _sweep(A, V)
         products += 2 + 2 * degree
         theta = np.linalg.svd(R, compute_uv=False)
         top = theta[:k]
         if prev is not None:
-            scale = max(top[0], np.finfo(float).tiny)
+            scale = _settle_scale(top)
             moves, last = np.abs(top - prev), moves
             if floor is None:
                 change = np.max(moves) / scale
@@ -375,10 +444,7 @@ def truncated_svd(A, k, tol=1e-10, dense_cutoff=64, max_sweeps=200, start=None, 
                     floor - top[above], moves[above], None if last is None else last[above],
                     tol * scale))
             if settled:
-                Ur, s, Vrt = np.linalg.svd(R)
-                V = V @ Ur
-                return SvdTriplet(Q @ Vrt[:k].T, s[:k].copy(), V[:, :k].copy(),
-                                  basis=V, sweeps=sweep, products=products)
+                return _ritz_triplet(Q, V, R, k, sweep, products)
             if floor is None:
                 degree = _filter_degree(theta, k, change, degree, tol)
         prev = top

@@ -6,7 +6,9 @@ completion objective
     0.5 * ||masked(X) - data||^2  +  indicator(rank <= r)  +  (lam/2)*||X||^2
 
 whose three blocks give a masked averaging prox, a rank projection, and a
-linear gradient. Its iterates are those of splitting.run, carried as the
+linear gradient. Every rank projection after a run's first is one warm
+subspace sweep, feasible but not the nearest rank-r matrix (see
+_project_into). Its iterates are those of splitting.run, carried as the
 rank-r factors of z plus a vector on the mask, over one dense buffer per
 run (see _masked_complete). Dropping the quadratic tail (lam = 0) recovers
 classical Douglas-Rachford splitting on the same constraint set. Two
@@ -26,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import (ObservationSet, SvdWarmStart, as_matrix,
+from .linalg import (ObservationSet, SvdWarmStart, _one_sweep, as_matrix,
                      masked_relative_residual, truncated_svd)
 # masked_relative_residual, prox_masked_quadratic, rank_projection, run and
 # check_stop are imported only for the benchmark's hooks on them here
@@ -75,14 +77,25 @@ class CompletionResult:
     relative_error: Optional[float] = None
     svd_sweeps: int = 0  # sweeps of the SVDs the run's SvdWarmStart kept
     svd_products: int = 0  # their products with the operand or its transpose
+    # the last SVD's max |s - s_prev| / s_1 if it was an unsettled one-sweep
+    # projection (see _project_into); 0.0 if it was settled
+    svd_change: float = 0.0
 
 
 def default_masked_rule(max_iter=2000):
     return StoppingRule(eps_rel=MASKED_TOL, max_iter=max_iter)
 
 
+ERROR_BLOCK = 1 << 15  # entries of X - M formed at a time by relative_error (256 KiB)
+
+
 def relative_error(X, M):
-    """Frobenius error of X against M, relative to ||M||."""
+    """Frobenius error of X against M, relative to ||M||.
+
+    ||X - M||^2 is summed over blocks of rows of about ERROR_BLOCK entries,
+    so no full-size difference is formed; the sum runs in another order
+    than a norm of the whole difference, which moves the result at the
+    1e-16 level."""
     X = as_matrix(X)
     M = as_matrix(M)
     if X.shape != M.shape:
@@ -90,7 +103,9 @@ def relative_error(X, M):
     den = np.linalg.norm(M)
     if den == 0.0:
         raise ValueError("reference matrix is zero; relative error undefined")
-    return np.linalg.norm(X - M) / den
+    rows = max(1, ERROR_BLOCK // X.shape[1])
+    num_sq = sum(_sq_norm(X[i:i + rows] - M[i:i + rows]) for i in range(0, X.shape[0], rows))
+    return math.sqrt(num_sq) / den
 
 
 def rmse(X, test_obs):
@@ -121,16 +136,29 @@ def _metric_on_mask(x_on, obs):
 
 
 def _project_into(buf, r, warm):
-    """Replace the dense buf by its nearest rank-r matrix; return its factors.
+    """Replace the dense buf by a rank-r matrix near it; return its factors.
 
-    The top-r SVD of buf, started from warm's basis and kept there as
-    rank_projection keeps it, gives W = U * S (m x r) and V (n x r). buf is
+    A run's first projection, and every one on the dense path (min dimension
+    at most 64, where no basis is kept), is the nearest rank-r matrix: the
+    settled top-r SVD of truncated_svd, bit for bit rank_projection(buf, r,
+    warm). Every later one is a single warm sweep from warm's basis
+    (linalg._one_sweep, two products), as in Hastie, Mazumder, Lee and Zadeh
+    (JMLR 2015): exactly rank r, so feasible, but only as near the nearest
+    rank-r matrix as one sweep takes it, which puts the iteration outside
+    the paper's theorem and its descent lemma. Consecutive projections are
+    then the sweeps of one subspace iteration on a slowly changing matrix,
+    and the relative move of their r values, max |s - s_prev| / s_1, is
+    kept as warm.change, the settle quantity truncated_svd tests against
+    its tolerance; it is 0.0 after a settled projection.
+
+    The triplet, kept in warm, gives W = U * S (m x r) and V (n x r). buf is
     then overwritten with W V^T by the product SvdTriplet.reconstruct forms,
-    so it holds rank_projection(buf, r, warm) bit for bit, and a caller
-    that keeps (W, V) can write the same matrix back into buf at any time.
+    and a caller that keeps (W, V) can write the same matrix back into buf
+    at any time.
     """
-    t = truncated_svd(buf, r, start=warm.basis)
-    warm.keep(t)
+    settled = warm.basis is None
+    t = truncated_svd(buf, r) if settled else _one_sweep(buf, r, warm.basis)
+    warm.keep(t, settled)
     W = t.U * t.S
     np.matmul(W, t.V.T, out=buf)
     return W, t.V
@@ -154,7 +182,8 @@ def _finish(buf, W, V, trace, status, warm, M_true):
     np.matmul(W, V.T, out=buf)
     err = relative_error(buf, M_true) if M_true is not None else None
     return CompletionResult(X_opt=buf, iterations=len(trace), status=status, trace=trace,
-                            relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products)
+                            relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products,
+                            svd_change=warm.change)
 
 
 def _objective_values(obs, lam):
@@ -202,18 +231,21 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     warm = SvdWarmStart()  # one per run: each projection starts where the last ended
     buf = np.zeros(inst.shape)  # the run's one dense array, returned as X_opt
     buf_flat = buf.reshape(-1)
-    # what the next row reads of the current state besides its factors: z and
-    # the latest y on the mask, and off it ||z - z_prev||^2, ||z||^2 and max |z|
-    last = SimpleNamespace(z_on=np.zeros(len(obs)), y_on=np.zeros(len(obs)),
-                           dz_off_sq=0.0, z_off_sq=0.0, z_off_inf=0.0)
-    y_on = None
+    # what the next row reads of the current state besides its factors: z on
+    # the mask, and off it ||z - z_prev||^2, ||z||^2 and max |z|
+    last = SimpleNamespace(z_on=np.zeros(len(obs)), dz_off_sq=0.0, z_off_sq=0.0, z_off_inf=0.0)
+    y_on = np.zeros(len(obs))  # the latest y on the mask
+    dy_on_sq = 0.0  # and its move there, ||y - y_prev||^2
 
     def advance(state, t):
-        nonlocal y_on
+        nonlocal y_on, dy_on_sq
         s = state[2]
         g = steps.gamma
         x_on = last.z_on - s
-        y_on = (x_on + g * obs.values) / (1.0 + g)
+        y_new = (x_on + g * obs.values) / (1.0 + g)
+        # the move is read here, so the last y is released before the projection
+        dy_on_sq = _sq_norm(y_new - y_on)
+        y_on = y_new
         scale = 1.0 - g * lam
         if scale != 1.0:
             np.multiply(buf, scale, out=buf)
@@ -231,25 +263,24 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
         z_off_sq = max(z_norm ** 2 - _sq_norm(z_on), 0.0)
         dz_on_sq = _sq_norm(z_on - last.z_on)
         dz_off_sq = max(_factored_diff_sq(W_new, V_new, W, V) - dz_on_sq, 0.0)
-        x_on = z_on - s_new
         row = SimpleNamespace(
-            t=t, gamma=steps.gamma, dy_norm=math.sqrt(last.dz_off_sq + _sq_norm(y_on - last.y_on)),
+            t=t, gamma=steps.gamma, dy_norm=math.sqrt(last.dz_off_sq + dy_on_sq),
             zy_gap=math.sqrt(dz_off_sq + _sq_norm(z_on - y_on)),
             s_dual=math.sqrt(dz_off_sq + dz_on_sq),
-            x_norm=math.sqrt(z_off_sq + _sq_norm(x_on)),
+            x_norm=math.sqrt(z_off_sq + _sq_norm(z_on - s_new)),
             y_norm=math.sqrt(last.z_off_sq + _sq_norm(y_on)), z_norm=z_norm,
             y_inf=max(last.z_off_inf, float(np.abs(y_on).max())))
         if with_energy:
             z_new = W_new @ V_new.T
             x, y = z_new.copy(), W @ V.T
-            x.reshape(-1)[flat] = x_on
+            x.reshape(-1)[flat] = z_on - s_new
             y.reshape(-1)[flat] = y_on
             row.energy = float(energy(objective, SplittingState(x, y, z_new), steps.gamma))
         # the masked stop watches the rank-feasible iterate, the same estimate
         # the baselines test and the one reported as the solution
         row.stop_metric = _metric_on_mask(z_on, obs)
         steps.update(row)
-        last.z_on, last.y_on = z_on, y_on
+        last.z_on = z_on
         last.dz_off_sq, last.z_off_sq, last.z_off_inf = dz_off_sq, z_off_sq, z_off_inf
         return row
 

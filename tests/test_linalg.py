@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from triosplit import linalg
 from triosplit.datagen import DctSpec, gen_dct_matrix
 from triosplit.linalg import (ObservationSet, TruncatedSvdError,
                               gram_spectral_norm, masked_relative_residual,
@@ -14,6 +17,31 @@ def random_obs(rng, rows, cols, count):
     lin.sort()
     r, c = np.unravel_index(lin, (rows, cols))
     return ObservationSet(r, c, rng.standard_normal(count), (rows, cols))
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_nonfinite_value_is_rejected(self, bad):
+        A = np.ones((5, 6))
+        A[3, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            linalg.as_matrix(A)
+        with pytest.raises(ValueError, match="finite"):
+            linalg.as_vector(A[3])
+
+    def test_empty_arrays_are_finite(self):
+        assert linalg.as_matrix(np.zeros((0, 4))).shape == (0, 4)
+        assert linalg.as_vector(np.zeros(0)).shape == (0,)
+
+    def test_the_check_forms_no_full_size_temporary(self):
+        A = np.random.default_rng(11).standard_normal((600, 800))
+        tracemalloc.start()
+        try:
+            linalg.as_matrix(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * A.nbytes
 
 
 class TestObservationSet:
@@ -268,6 +296,40 @@ class TestTruncatedSvdSweep:
         s_ref = np.linalg.svd(A, compute_uv=False)
         assert np.max(np.abs(t.S - s_ref[:65])) < 10 * self.TOL * s_ref[0]
         self.check_factors(A, t, 65)
+
+
+class TestOneSweep:
+    def test_one_rotated_sweep_from_the_start(self):
+        rng = np.random.default_rng(34)
+        A = rng.standard_normal((90, 80))
+        start = truncated_svd(A + 1e-3 * rng.standard_normal(A.shape), 4).basis
+        t = linalg._one_sweep(A, 4, start)
+        assert (t.sweeps, t.products, t.basis.shape) == (1, 2, (80, 12))
+        TestTruncatedSvdSweep.check_factors(A, t, 4)
+        # a start from a nearby matrix puts one sweep close to the settled values
+        s_ref = np.linalg.svd(A, compute_uv=False)[:4]
+        assert np.max(np.abs(t.S - s_ref)) < 1e-3 * s_ref[0]
+
+    def test_repeated_sweeps_capture_a_value_the_basis_misses(self):
+        # 120 x 100, spectrum 10, 9, 8, then 5 down to 1; the first basis
+        # spans v2..v12 and misses v1. Each call blends its start with the
+        # seeded block at 1e-4 of its norm and starts from the basis the last
+        # call ended on, so the v1 component grows from call to call: the
+        # first call reads 9 as the top value, and the top value is 10 to
+        # within 1e-8 from the 14th call on (seeds 3 to 5)
+        rng = np.random.default_rng(3)
+        s = np.concatenate([[10.0, 9.0, 8.0], np.linspace(5.0, 1.0, 97)])
+        U = np.linalg.qr(rng.standard_normal((120, 100)))[0]
+        V = np.linalg.qr(rng.standard_normal((100, 100)))[0]
+        A = (U * s) @ V.T
+        basis, tops = V[:, 1:12], []
+        for _ in range(20):
+            t = linalg._one_sweep(A, 3, basis)
+            basis = t.basis
+            tops.append(t.S[0])
+        assert abs(tops[0] - 9.0) < 1e-6
+        assert abs(tops[-1] - 10.0) < 1e-8 * 10.0
+        assert abs(t.V[:, 0] @ V[:, 0]) > 1.0 - 1e-8
 
 
 class TestMaskedRelativeResidual:
