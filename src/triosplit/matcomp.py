@@ -75,8 +75,8 @@ class CompletionResult:
     status: str
     trace: RunTrace
     relative_error: Optional[float] = None
-    svd_sweeps: int = 0  # sweeps of the SVDs the run's SvdWarmStart kept
-    svd_products: int = 0  # their products with the operand or its transpose
+    svd_sweeps: int = 0  # Lanczos steps and sweeps of the SVDs the run's SvdWarmStart kept
+    svd_products: int = 0  # their matrix-vector products with the operand or its transpose
     # the last SVD's max |s - s_prev| / s_1 if it was an unsettled one-sweep
     # projection (see _project_into); 0.0 if it was settled
     svd_change: float = 0.0
@@ -142,14 +142,15 @@ def _project_into(buf, r, warm):
     at most 64, where no basis is kept), is the nearest rank-r matrix: the
     settled top-r SVD of truncated_svd, bit for bit rank_projection(buf, r,
     warm). Every later one is a single warm sweep from warm's basis
-    (linalg._one_sweep, two products), as in Hastie, Mazumder, Lee and Zadeh
-    (JMLR 2015): exactly rank r, so feasible, but only as near the nearest
-    rank-r matrix as one sweep takes it, which puts the iteration outside
-    the paper's theorem and its descent lemma. Consecutive projections are
-    then the sweeps of one subspace iteration on a slowly changing matrix,
-    and the relative move of their r values, max |s - s_prev| / s_1, is
-    kept as warm.change, the settle quantity truncated_svd tests against
-    its tolerance; it is 0.0 after a settled projection.
+    (linalg._one_sweep, two block products of width r + 8), as in Hastie,
+    Mazumder, Lee and Zadeh (JMLR 2015): exactly rank r, so feasible, but
+    only as near the nearest rank-r matrix as one sweep takes it, which
+    puts the iteration outside the paper's theorem and its descent lemma.
+    Consecutive projections are then the sweeps of one subspace iteration
+    on a slowly changing matrix, and the relative move of their r values,
+    max |s - s_prev| / s_1, is kept as warm.change, the settle quantity
+    truncated_svd tests against its tolerance; it is 0.0 after a settled
+    projection.
 
     The triplet, kept in warm, gives W = U * S (m x r) and V (n x r). buf is
     then overwritten with W V^T by the product SvdTriplet.reconstruct forms,
@@ -167,13 +168,16 @@ def _project_into(buf, r, warm):
 def _factored_diff_sq(W1, V1, W0, V0):
     """||W1 V1^T - W0 V0^T||^2 (Frobenius) without forming either product.
 
-    With thin QRs [W1, -W0] = Q1 R1 and [V1, V0] = Q2 R2 the difference is
-    Q1 (R1 R2^T) Q2^T, and Q1, Q2 have orthonormal columns, so its norm is
-    that of the small factor R1 R2^T, at most 2r x 2r.
+    V0 and V1 have orthonormal columns, as every V the solvers carry does
+    (a run's zero start has W0 = 0, which needs none). With C = V0^T V1,
+    F = V0 - V1 C^T is the part of V0 orthogonal to V1, so the difference
+    is (W1 - W0 C) V1^T - W0 F^T, two terms orthogonal to each other, and
+    its squared norm is ||W1 - W0 C||^2 + sum(W0^T W0 * F^T F): small
+    products and one difference of each side's factors, at most r wide.
     """
-    R1 = np.linalg.qr(np.hstack((W1, -W0)), mode="r")
-    R2 = np.linalg.qr(np.hstack((V1, V0)), mode="r")
-    return _sq_norm(R1 @ R2.T)
+    C = V0.T @ V1
+    F = V0 - V1 @ C.T
+    return _sq_norm(W1 - W0 @ C) + float(np.sum((W0.T @ W0) * (F.T @ F)))
 
 
 def _finish(buf, W, V, trace, status, warm, M_true):
@@ -214,12 +218,13 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     projection argument 2 y - gamma * lam * y - x, which is
     (1 - gamma * lam) * z off the mask, scatters the argument's mask
     entries, and projects the buffer in place (_project_into), which leaves
-    z+ in it. The row reads z+ on the mask and ||z+|| from the buffer,
-    zeroes the buffer's mask entries to read max |z+| off the mask, and
-    takes ||z+ - z|| from the factors, less its part on the mask, read from
-    vectors. Off the mask, z+ - y+ is z+ - z and y+ - y the previous step's
-    z - z_prev; y = z_prev there, so y_inf is exact. No dense x, y or
-    difference is formed unless with_energy asks for the energy column.
+    z+ in it. The row reads z+ on the mask from the buffer and ||z+|| from
+    its factor W+ (V+ is orthonormal), zeroes the buffer's mask entries to
+    read max |z+| off the mask, and takes ||z+ - z|| from the factors, less
+    its part on the mask, read from vectors. Off the mask, z+ - y+ is
+    z+ - z and y+ - y the previous step's z - z_prev; y = z_prev there, so
+    y_inf is exact. No dense x, y or difference is formed unless
+    with_energy asks for the energy column.
     """
     _check_truth(inst, M_true)
     if rule is None:
@@ -256,7 +261,7 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     def measure(old, new, t, norms):
         (W, V, _), (W_new, V_new, s_new) = old, new
         z_on = buf.take(flat)
-        z_norm = math.sqrt(_sq_norm(buf))
+        z_norm = math.sqrt(_sq_norm(W_new))  # ||W V^T|| = ||W||, V orthonormal
         # max |z+| off the mask; the next step overwrites the zeroed entries
         buf_flat[flat] = 0.0
         z_off_inf = float(max(buf.max(), -buf.min()))

@@ -180,12 +180,16 @@ class TestTruncatedSvdStart:
         assert np.max(np.abs(t.S - s[:3])) < 10 * tol * s[0]
 
     def test_cold_call_sweeps_no_more_than_two_sided_iteration(self):
+        # costs in matrix-vector products, a width-p block product counting
+        # p: the two-sided iteration makes p (2 sweeps + 2), and the block
+        # iteration with a Chebyshev filter that Lanczos replaced made 546
+        # and 1240 here (42 and 62 block products at p = 13 and 20)
         rng = np.random.default_rng(8)
-        for shape, k in [((120, 90), 5), ((200, 260), 12)]:
+        for shape, k, filtered in [((120, 90), 5, 546), ((200, 260), 12, 1240)]:
             A = rng.standard_normal(shape)
             t = truncated_svd(A, k, dense_cutoff=0)
             sweeps, top = two_sided_subspace_sweeps(A, k)
-            assert t.sweeps <= sweeps
+            assert t.products <= min(filtered, (k + 8) * (2 * sweeps + 2))
             assert np.max(np.abs(t.S - top)) < 1e-8 * top[0]
 
     def test_returns_exit_basis_and_accepts_any_start_width(self):
@@ -195,13 +199,23 @@ class TestTruncatedSvdStart:
         assert t.basis.shape == (70, 12)
         assert np.allclose(t.basis.T @ t.basis, np.eye(12), atol=1e-10)
         assert np.array_equal(t.basis[:, :4], t.V)
-        # narrower starts are filled from the seeded block, wider ones cut
+        # a call without a floor starts from the sum of the start's first p
+        # columns, and its values agree whatever the start's width
         for start in (t.basis[:, :4], t.basis, np.hstack([t.basis, t.basis])):
             w = truncated_svd(A, 4, dense_cutoff=0, start=start)
             assert np.max(np.abs(w.S - t.S)) < 1e-8 * t.S[0]
         assert truncated_svd(A[:, :50], 4).basis is None  # dense path
         with pytest.raises(ValueError, match="rows"):
             truncated_svd(A, 4, dense_cutoff=0, start=t.basis[:60])
+
+    def test_start_summing_to_zero_starts_cold(self):
+        # Lanczos starts from the sum of the start's columns
+        A = np.random.default_rng(11).standard_normal((90, 80))
+        cold = truncated_svd(A, 3, dense_cutoff=0)
+        ones = np.ones((80, 1))
+        for start in (np.zeros((80, 11)), np.hstack([ones, -ones])):
+            t = truncated_svd(A, 3, dense_cutoff=0, start=start)
+            assert np.max(np.abs(t.S - cold.S)) < 1e-8 * cold.S[0]
 
 
 class TestTruncatedSvdFloor:
@@ -216,13 +230,12 @@ class TestTruncatedSvdFloor:
 
     def test_settles_the_values_above_the_floor_in_fewer_products(self):
         A, s = self.straddling()
-        full = truncated_svd(A, 8)
         t = truncated_svd(A, 8, floor=1.0)
         assert np.max(np.abs(t.S[:5] - s[:5])) < 10 * 1e-10 * s[0]
         assert t.S[5] <= 1.0
-        assert t.products < full.products
         # every value lies above a zero floor, so that call settles all eight
-        # with plain sweeps, as the floor call does
+        # with plain sweeps, as the floor call does; a call without a floor
+        # runs Lanczos and is cheaper than both
         assert t.products < truncated_svd(A, 8, floor=0.0).products
 
     def test_zero_matrix_at_a_zero_floor(self):
@@ -244,16 +257,18 @@ class TestTruncatedSvdSweep:
         scale = max(t.S[0], 1.0)
         assert np.max(np.abs(t.U.T @ A @ t.V - np.diag(t.S))) < 1e-12 * scale
 
-    @pytest.mark.parametrize("shape", [(70, 100), (100, 70), (80, 80)],
+    @pytest.mark.parametrize("shape, filtered", [((70, 100), 494), ((100, 70), 468),
+                                                 ((80, 80), 546)],
                              ids=["wide", "tall", "square"])
-    def test_cold_call_matches_two_sided_iteration(self, shape):
+    def test_cold_call_matches_two_sided_iteration(self, shape, filtered):
         A = np.random.default_rng(31).standard_normal(shape)
         k = 5
         t = truncated_svd(A, k, tol=self.TOL)
         sweeps, _ = two_sided_subspace_sweeps(A, k, tol=self.TOL)
-        # the classical iteration's products: two per sweep plus the start's
-        # two half-steps, which is what this call makes without a filter
-        assert t.products <= 2 * sweeps + 2
+        # in matrix-vector products: the classical iteration makes p per
+        # block product, two per sweep plus the start's two half-steps, and
+        # the filtered block iteration that Lanczos replaced made `filtered`
+        assert t.products <= min(filtered, (k + 8) * (2 * sweeps + 2))
         _, s_ref, _ = jacobi_svd(A)
         assert np.max(np.abs(t.S - s_ref[:k])) < 10 * self.TOL * s_ref[0]
         self.check_factors(A, t, k)
@@ -268,7 +283,9 @@ class TestTruncatedSvdSweep:
             rng.standard_normal((n, n)))[0].T
         t = truncated_svd(A, k, tol=self.TOL)
         sweeps, _ = two_sided_subspace_sweeps(A, k, tol=self.TOL)
-        assert t.products <= 0.75 * (2 * sweeps + 2)
+        # in matrix-vector products, p = 13 per block product; the filtered
+        # block iteration that Lanczos replaced made 624 (48 block products)
+        assert t.products <= min(624, 0.75 * 13 * (2 * sweeps + 2))
         _, s_ref, _ = jacobi_svd(A)
         assert np.max(np.abs(t.S - s_ref[:k])) < 10 * self.TOL * s_ref[0]
         self.check_factors(A, t, k)
@@ -288,6 +305,28 @@ class TestTruncatedSvdSweep:
         assert np.linalg.norm(A - t.reconstruct()) < 1e-10 * s_ref[0]
         self.check_factors(A, t, 10)
 
+    def test_cold_call_holds_no_dense_copy(self):
+        # a 600 x 800 operand of the completion solvers' kind, rank 5 on a
+        # 5% mask: the bases grow with the steps, from 2p + 1 columns by
+        # doubling, and are never min(m, n) wide
+        rng = np.random.default_rng(12)
+        m, n, r = 600, 800, 5
+        flat = rng.choice(m * n, size=m * n // 20, replace=False)
+        rows, cols = np.divmod(flat, n)
+        left, right = rng.standard_normal((m, r)), rng.standard_normal((n, r))
+        A = np.zeros((m, n))
+        A.reshape(-1)[flat] = np.einsum("ij,ij->i", left[rows], right[cols])
+        truncated_svd(A, r)  # draws the seeded block outside the count
+        tracemalloc.start()
+        try:
+            t = truncated_svd(A, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * A.nbytes
+        s_ref = np.linalg.svd(A, compute_uv=False)[:r]
+        assert np.max(np.abs(t.S - s_ref)) < 10 * self.TOL * s_ref[0]
+
     def test_oversampled_width_above_small_dimension(self):
         # k + 8 = 73 > 70, so the basis is square
         A = np.random.default_rng(33).standard_normal((75, 70))
@@ -297,6 +336,15 @@ class TestTruncatedSvdSweep:
         assert np.max(np.abs(t.S - s_ref[:65])) < 10 * self.TOL * s_ref[0]
         self.check_factors(A, t, 65)
 
+    def test_wide_basis_reads_past_the_default_sweep_cap(self):
+        # k = 100, p = 108: the first reading falls at step 2p = 216, past
+        # max_sweeps = 200, which caps sweeps of width p, not steps
+        A = np.random.default_rng(35).standard_normal((250, 300))
+        t = truncated_svd(A, 100, tol=self.TOL)
+        s_ref = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(t.S - s_ref[:100])) < 10 * self.TOL * s_ref[0]
+        self.check_factors(A, t, 100)
+
 
 class TestOneSweep:
     def test_one_rotated_sweep_from_the_start(self):
@@ -304,7 +352,7 @@ class TestOneSweep:
         A = rng.standard_normal((90, 80))
         start = truncated_svd(A + 1e-3 * rng.standard_normal(A.shape), 4).basis
         t = linalg._one_sweep(A, 4, start)
-        assert (t.sweeps, t.products, t.basis.shape) == (1, 2, (80, 12))
+        assert (t.sweeps, t.products, t.basis.shape) == (1, 2 * 12, (80, 12))
         TestTruncatedSvdSweep.check_factors(A, t, 4)
         # a start from a nearby matrix puts one sweep close to the settled values
         s_ref = np.linalg.svd(A, compute_uv=False)[:4]
