@@ -138,7 +138,9 @@ class SvdWarmStart:
     ``change`` is how far the last call's values stand from settled: 0.0
     for a settled call; for an unsettled one, the move of its values from
     the previous call's relative to its largest, the quantity truncated_svd
-    settles (see matcomp._project_into). It is per-run state,
+    settles, read over the leading values both calls computed (see
+    matcomp._project_into and matcomp.shrink_singular_values), and inf
+    with no previous values to read it from. It is per-run state,
     like ``prox.GramSolver``: a fresh instance repeats a run exactly, and
     concurrent runs each need their own.
     """
@@ -153,7 +155,15 @@ class SvdWarmStart:
     def keep(self, t, settled=True):
         """Store the basis and values an SvdTriplet ended on, record its
         change and add its sweeps and products."""
-        self.change = 0.0 if settled else float(np.max(np.abs(t.S - self.values)) / _settle_scale(t.S))
+        if settled:
+            self.change = 0.0
+        elif self.values is None:
+            self.change = math.inf
+        else:
+            # a shrinkage's width follows its kept rank, so two calls may differ in k
+            shared = min(len(t.S), len(self.values))
+            self.change = float(np.max(np.abs(t.S[:shared] - self.values[:shared]))
+                                / _settle_scale(t.S))
         self.basis = t.basis
         self.values = t.S
         self.sweeps += t.sweeps

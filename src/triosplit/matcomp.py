@@ -14,9 +14,11 @@ run (see _masked_complete). Dropping the quadratic tail (lam = 0) recovers
 classical Douglas-Rachford splitting on the same constraint set. Two
 baselines are included: projected gradient descent with rank truncation
 (svp_complete) and singular-value shrinkage with a dual update on the mask
-(svt_complete). All four solvers carry their iterate in one form: the
-factors W, V of a low-rank matrix W V^T, plus a vector on the mask where the
-method has one, over one dense buffer per run that is returned as X_opt.
+(svt_complete), whose shrinkages after a run's first are one warm sweep
+each as well, not the exact shrinkage (see shrink_singular_values). All
+four solvers carry their iterate in one form: the factors W, V of a
+low-rank matrix W V^T, plus a vector on the mask where the method has one,
+over one dense buffer per run that is returned as X_opt.
 """
 
 from __future__ import annotations
@@ -373,27 +375,46 @@ def svp_complete(inst, rule=None, M_true=None):
 def shrink_singular_values(X, tau, start_k=4, warm=None):
     """All-above-threshold shrinkage: sum of (sigma_j - tau) * u_j v_j^T over
     sigma_j > tau, returned as its factors (W, V), W = U * (S - tau), whose
-    column count is the number of values kept (0 when none is). The factor
-    count is found by growing the truncation width until the smallest
-    computed value falls at or below tau; each wider SVD starts from the
-    basis the narrower one ended on. Each SVD is given tau as its
-    ``floor``: it settles only the values it keeps, and stops once the
-    largest estimate at or below tau sits below it by more than the rest of
-    its rise, without settling the discarded values (see truncated_svd).
+    column count is the number of values kept (0 when none is).
 
-    Without ``warm`` this is a cold one-shot call: the first SVD starts from
-    a fresh seeded block. With an SvdWarmStart it starts from the basis the
-    previous call ended on, and the new basis is stored for the next one."""
+    Without ``warm``, or with an SvdWarmStart that holds no basis yet (a
+    run's first call, or every call on the dense path), the values are
+    settled: the factor count is found by growing the truncation width from
+    start_k, doubling it until the smallest computed value falls at or
+    below tau, each wider SVD starting from the basis the narrower one
+    ended on. Each SVD is given tau as its ``floor``: it settles only the
+    values it keeps, and stops once the largest estimate at or below tau
+    sits below it by more than the rest of its rise, without settling the
+    discarded values (see truncated_svd). A cold call's first SVD starts
+    from a fresh seeded block.
+
+    With a basis, the call is a single warm sweep from it at k = start_k
+    (linalg._one_sweep, at most k + 8 of its columns, the width
+    truncated_svd keeps; k at most the basis's width), as Hastie, Mazumder,
+    Lee and Zadeh (JMLR 2015) run their soft-thresholded SVDs, and keeps
+    the values of that sweep above tau. Ritz values never exceed the true
+    ones, so a sweep whose smallest value is still above tau proves the kept
+    rank is at least k: the settled widening loop then takes over at 2k,
+    from the sweep's basis. Consecutive calls are the sweeps of one subspace
+    iteration on a slowly changing dual, as consecutive rank projections
+    are (see _project_into), and the sweep's values are only as settled as
+    that iteration has made them; warm.change records their move from the
+    previous call's. Either way the basis the call ends on is stored in
+    warm for the next one."""
     if warm is None:
         warm = SvdWarmStart()
     mindim = min(X.shape)
     k = min(max(int(start_k), 1), mindim)
-    while True:
+    t = None
+    if warm.basis is not None:
+        k = min(k, warm.basis.shape[1])
+        t = _one_sweep(X, k, warm.basis[:, :k + 8])  # truncated_svd's p = k + 8
+        warm.keep(t, settled=False)
+    while t is None or (t.S[-1] > tau and k < mindim):
+        if t is not None:
+            k = min(2 * k, mindim)
         t = truncated_svd(X, k, start=warm.basis, floor=tau)
         warm.keep(t)
-        if t.S[-1] <= tau or k == mindim:
-            break
-        k = min(2 * k, mindim)
     keep = t.S > tau
     return t.U[:, keep] * (t.S[keep] - tau), t.V[:, keep]
 
@@ -405,6 +426,15 @@ def svt_complete(inst, rule=None, M_true=None):
     mask; the dual then takes a scaled data-misfit step on the mask. The
     threshold is tau = 5 * max(shape) and the step delta = 1.2 / p. The rank
     of the primal estimate is data-driven, not fixed in advance.
+
+    The run's first shrinkage settles its SVD; every later one is a single
+    warm sweep from the basis the last ended on, widened by settled SVDs
+    only when its smallest value is still above tau (see
+    shrink_singular_values). The primal is then not the exact shrinkage of
+    the dual, which puts the iteration outside the analysis of Cai, Candes
+    and Shen (SIAM J. Optim. 2010), as the one-sweep projections put
+    dys_complete outside the paper's theorem; the result's svd_change
+    reports how far the last shrinkage's values stood from settled.
 
     The state is the dual as its vector on the mask plus the primal as its
     shrinkage factors (W, V), over one dense m x n buffer that is returned

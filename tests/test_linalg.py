@@ -380,6 +380,39 @@ class TestOneSweep:
         assert abs(t.V[:, 0] @ V[:, 0]) > 1.0 - 1e-8
 
 
+class TestSvdWarmStart:
+    def test_change_is_read_over_the_values_two_calls_share(self):
+        # a shrinkage's width follows its kept rank, so consecutive calls
+        # may compute 14, then 10, then 14 values
+        rng = np.random.default_rng(35)
+        A = rng.standard_normal((90, 80))
+        warm = linalg.SvdWarmStart()
+        first = truncated_svd(A, 14)
+        warm.keep(first)
+        assert warm.change == 0.0
+        calls = [first]
+        for k in (10, 14, 14):
+            A = A + 1e-3 * rng.standard_normal(A.shape)
+            t = linalg._one_sweep(A, k, warm.basis)
+            warm.keep(t, settled=False)
+            prev = calls[-1].S
+            shared = min(k, len(prev))
+            assert warm.change == np.max(np.abs(t.S[:shared] - prev[:shared])) / t.S[0] > 0.0
+            calls.append(t)
+        # at one width the move is the whole vector's, as for a rank projection
+        assert warm.change == np.max(np.abs(calls[-1].S - calls[-2].S)) / calls[-1].S[0]
+        assert warm.values is calls[-1].S
+        assert warm.sweeps == first.sweeps + 3
+        assert warm.products == first.products + 2 * 22 * 3
+
+    def test_an_unsettled_call_with_nothing_before_it_reads_infinite(self):
+        rng = np.random.default_rng(36)
+        A = rng.standard_normal((90, 80))
+        warm = linalg.SvdWarmStart()
+        warm.keep(linalg._one_sweep(A, 4, truncated_svd(A, 4).basis), settled=False)
+        assert warm.change == np.inf
+
+
 class TestMaskedRelativeResidual:
     def test_exact_fit_is_zero(self):
         rng = np.random.default_rng(13)
