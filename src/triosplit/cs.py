@@ -12,7 +12,7 @@ the negative l2 norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -27,7 +27,6 @@ from .splitting import (CONVERGED, DEFAULT_K, DIVERGED, MAX_ITER, RunTrace,
 
 SUCCESS_THRESHOLD = 1e-4
 SPARSITY_TRUNCATION = 5e-6
-ORIGIN_GUARD = 1e-12
 
 ADMM_LAMBDA = 1e-6
 L12_LAMBDA = 1e-5
@@ -92,27 +91,10 @@ def evaluate(x_opt, x_true):
     return EvalMetrics(rel, rel < SUCCESS_THRESHOLD, truncated_sparsity(x_opt))
 
 
-@dataclass
-class RecoveryReport:
-    x_opt: np.ndarray
-    iterations: int
-    status: str
-    success: Optional[bool] = None
-    relative_error: Optional[float] = None
-    sparsity: Optional[int] = None
-    min_y_norm: float = float("nan")
-    origin_hits: int = 0
-    beta_local: float = float("nan")
-    end_state: Optional[dict] = None  # terminal solver variables, for restarts
-    trace: Optional[RunTrace] = None
-
-    def attach_metrics(self, x_true):
-        if x_true is not None:
-            m = evaluate(self.x_opt, x_true)
-            self.relative_error, self.success, self.sparsity = m.relative_error, m.success, m.sparsity
-        else:
-            self.sparsity = truncated_sparsity(self.x_opt)
-        return self
+def _reported(res, x_true, x_opt):
+    """res with the solution x_opt and, given a truth, its relative error."""
+    err = None if x_true is None else evaluate(x_opt, x_true).relative_error
+    return replace(res, x_opt=x_opt, relative_error=err)
 
 
 def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=None,
@@ -127,10 +109,10 @@ def _multiplier_loop(A, b, lam, rho, rule, shift=None, z0=None, x0=None, solver=
         x+ = x + rho (y+ - z+)
     The x feedback in the first step is unscaled; scaling it by rho would
     decouple the dual from the least-squares step and stall convergence.
-    Returns a RunResult whose state is SplittingState(x=dual, y=least-squares
-    iterate, z=consensus iterate), the names the reports' end_state uses; a
-    non-finite step ends the run diverged with the last finite triple. The
-    rows go to trace when one is given (see _iterate).
+    Returns _iterate's RunResult, whose state is SplittingState(x=dual,
+    y=least-squares iterate, z=consensus iterate); a non-finite step ends
+    the run diverged with the last finite triple. The rows go to trace when
+    one is given (see _iterate).
     """
     n = A.shape[1]
     solver = GramSolver(A) if solver is None else solver
@@ -191,9 +173,7 @@ def admm_lasso(inst, rule=None, lam=None, rho=None):
     if not (lam >= 0 and rho > 0):
         raise ValueError("need lam >= 0 and rho > 0")
     res = _multiplier_loop(inst.A, inst.b, lam, rho, rule)
-    report = RecoveryReport(x_opt=res.state.z, iterations=len(res.trace), status=res.status,
-                            end_state=dict(res.state._asdict(), lam=lam, rho=rho), trace=res.trace)
-    return report.attach_metrics(inst.x_true)
+    return _reported(res, inst.x_true, res.state.z)
 
 
 def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
@@ -213,9 +193,9 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     solution is the unthresholded least-squares iterate y of the last inner
     pass, not its thresholded consensus iterate z (admm_lasso reports z), so
     its truncated sparsity counts small entries the threshold would zero.
-    The report's trace holds the rows of all inner passes in order, its t
+    The result's trace holds the rows of all inner passes in order, its t
     column restarting at 1 with each pass, and its length is the iteration
-    count.
+    count; its state is the last inner pass's last finite state.
     """
     if inner_rule is None:
         inner_rule = StoppingRule(max_iter=5000)
@@ -228,7 +208,6 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
     solver = GramSolver(inst.A)
     y_outer = np.zeros(inst.n)
     z0 = x0 = None
-    shift = None
     trace = RunTrace()
     status = MAX_ITER
     for _ in range(outer_max):
@@ -244,11 +223,7 @@ def dca_l12(inst, outer_max=DCA_OUTER_MAX, inner_rule=None, lam=None, rho=None,
         if change < outer_tol:
             status = CONVERGED if res.status == CONVERGED else MAX_ITER
             break
-    report = RecoveryReport(x_opt=y_outer, iterations=len(trace), status=status,
-                            end_state=dict(y=y_outer, z=z0, x=x0, lam=lam,
-                                           rho=rho, shift=shift),
-                            trace=trace)
-    return report.attach_metrics(inst.x_true)
+    return _reported(replace(res, status=status), inst.x_true, y_outer)
 
 
 def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=False):
@@ -259,8 +234,9 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
     gamma*lam*y/||y|| inside the threshold argument. The engine (run) derives
     the step-size root gamma0 from the problem's constants: L = ||A||_2^2 (the
     measured top eigenvalue of A^T A), l = 0, and beta = 1 by convention,
-    because the gradient of -lam*||y|| has no global Lipschitz constant (see
-    beta_local below). A fixed gamma ignores k. Without one, the run starts at
+    because the gradient of -lam*||y|| has no global Lipschitz constant; lam
+    over the least ||y|| in the trace's y_norm column is the constant valid
+    along the run. A fixed gamma ignores k. Without one, the run starts at
     k * gamma0 and decays per the engine heuristic. For lam > 0 that start is
     capped at ||A^T b||_inf / lam, or gamma0 if that is larger, by lowering k
     before the run; dys_l12 computes gamma0 only for this cap. The first
@@ -271,10 +247,8 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
     frames; the iterates ran off to |y| of several hundred before the decay
     heuristic lowered gamma, and the runs ended with relative errors in the
     tens to hundreds. At small weights the cap lies above k * gamma0 and
-    changes nothing; lam = 0 keeps k * gamma0. Iterates whose norm falls below
-    1e-12 are counted in the report's origin_hits, and beta_local reports
-    lam / min ||y|| as the locally valid smoothness constant. k=None, like
-    run's, fixes the step at DEFAULT_STEP_FRACTION * gamma0, with no cap.
+    changes nothing; lam = 0 keeps k * gamma0. k=None, like run's, fixes the
+    step at DEFAULT_STEP_FRACTION * gamma0, with no cap.
     """
     lam = L12_LAMBDA if lam is None else lam
     if not lam >= 0:
@@ -308,15 +282,4 @@ def dys_l12(inst, rule=None, gamma=None, lam=None, k=DEFAULT_K, with_energy=Fals
         gamma0 = max_step_size(problem.L, problem.l, problem.beta)
         k = min(k, max(1.0, float(np.max(np.abs(Atb))) / (lam * gamma0)))
     res = run(problem, np.zeros(inst.n), gamma=gamma, k=k, rule=rule)
-    y_norms = res.trace.column("y_norm")
-    min_y = float(np.min(y_norms)) if len(y_norms) else float("nan")
-    final_gamma = res.trace.last.gamma if len(res.trace) else float("nan")
-    report = RecoveryReport(
-        x_opt=res.state.z, iterations=len(res.trace), status=res.status,
-        min_y_norm=min_y,
-        origin_hits=int(np.count_nonzero(y_norms < ORIGIN_GUARD)),
-        beta_local=lam / max(min_y, np.finfo(float).tiny) if math.isfinite(min_y) else float("nan"),
-        end_state=dict(res.state._asdict(), gamma=final_gamma, lam=lam),
-        trace=res.trace,
-    )
-    return report.attach_metrics(inst.x_true)
+    return _reported(res, inst.x_true, res.x_opt)

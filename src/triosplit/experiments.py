@@ -384,8 +384,8 @@ def _run_matcomp_ratings(config):
             inst = CompletionInstance(train, shape, rank, lam)
             for method in config.methods:
                 res = _run_matcomp_completion(method, inst, None, config, RATINGS_K)
-                score = rmse(res.X_opt, test) if len(test) else float("nan")
-                resid = (masked_relative_residual(res.X_opt, test)
+                score = rmse(res.x_opt, test) if len(test) else float("nan")
+                resid = (masked_relative_residual(res.x_opt, test)
                          if len(test) and np.linalg.norm(test.values) > 0 else float("nan"))
                 table.add(record="trial", method=method, seed=seed, rank=rank,
                           train_count=len(train), test_count=len(test),
@@ -428,9 +428,10 @@ def _run_cs(config):
                 inst = cs_mod.SensingInstance(A, b, x_true=x_true)
                 for method in config.methods:
                     rep = _run_cs_method(method, inst, config)
+                    metrics = cs_mod.evaluate(rep.x_opt, x_true)
                     table.add(record="trial", method=method, seed=seed, s=s, sigma=sigma,
-                              success=rep.success, rel_error=rep.relative_error,
-                              sparsity=rep.sparsity, iterations=rep.iterations,
+                              success=metrics.success, rel_error=metrics.relative_error,
+                              sparsity=metrics.sparsity, iterations=rep.iterations,
                               status=rep.status, **shared)
     for s in config.sparsity_levels:
         for sigma in config.sigmas:

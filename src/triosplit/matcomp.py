@@ -18,15 +18,14 @@ baselines are included: projected gradient descent with rank truncation
 each as well, not the exact shrinkage (see shrink_singular_values). All
 four solvers carry their iterate in one form: the factors W, V of a
 low-rank matrix W V^T, plus a vector on the mask where the method has one,
-over one dense buffer per run that is returned as X_opt.
+over one dense buffer per run that is returned as x_opt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Optional
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .linalg import (ObservationSet, SvdWarmStart, _one_sweep, as_matrix,
 # check_stop are imported only for the benchmark's hooks on them here
 # (bench/tracing.py); the solvers call none
 from .prox import grad_frobenius_reg, prox_masked_quadratic, rank_projection
-from .splitting import (DEFAULT_K, RunTrace, SplittingState, StoppingRule,
+from .splitting import (DEFAULT_K, SplittingState, StoppingRule,
                         ThreeTermProblem, _iterate, _sq_norm, _StepPolicy,
                         check_stop, energy, run)
 
@@ -68,20 +67,6 @@ class CompletionInstance:
     def p(self):
         """Sampling ratio |observed| / (rows * cols)."""
         return len(self.obs) / (self.shape[0] * self.shape[1])
-
-
-@dataclass
-class CompletionResult:
-    X_opt: np.ndarray
-    iterations: int
-    status: str
-    trace: RunTrace
-    relative_error: Optional[float] = None
-    svd_sweeps: int = 0  # Lanczos steps and sweeps of the SVDs the run's SvdWarmStart kept
-    svd_products: int = 0  # their matrix-vector products with the operand or its transpose
-    # the last SVD's max |s - s_prev| / s_1 if it was an unsettled one-sweep
-    # projection (see _project_into); 0.0 if it was settled
-    svd_change: float = 0.0
 
 
 def default_masked_rule(max_iter=2000):
@@ -182,14 +167,14 @@ def _factored_diff_sq(W1, V1, W0, V0):
     return _sq_norm(W1 - W0 @ C) + float(np.sum((W0.T @ W0) * (F.T @ F)))
 
 
-def _finish(buf, W, V, trace, status, warm, M_true):
-    """The run's CompletionResult. Its X_opt is buf rewritten as W V^T, the
-    last finite iterate, which a diverged step may have overwritten."""
+def _finish(buf, W, V, res, warm, M_true):
+    """_iterate's result res completed: its x_opt is buf rewritten as W V^T,
+    the last finite iterate, which a diverged step may have overwritten,
+    and its svd_* fields are warm's totals."""
     np.matmul(W, V.T, out=buf)
     err = relative_error(buf, M_true) if M_true is not None else None
-    return CompletionResult(X_opt=buf, iterations=len(trace), status=status, trace=trace,
-                            relative_error=err, svd_sweeps=warm.sweeps, svd_products=warm.products,
-                            svd_change=warm.change)
+    return replace(res, x_opt=buf, relative_error=err, svd_sweeps=warm.sweeps,
+                   svd_products=warm.products, svd_change=warm.change)
 
 
 def _objective_values(obs, lam):
@@ -236,7 +221,7 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     steps = _StepPolicy(objective.L, objective.l, objective.beta,
                         gamma=gamma, k=None if gamma is not None else k)
     warm = SvdWarmStart()  # one per run: each projection starts where the last ended
-    buf = np.zeros(inst.shape)  # the run's one dense array, returned as X_opt
+    buf = np.zeros(inst.shape)  # the run's one dense array, returned as x_opt
     buf_flat = buf.reshape(-1)
     # what the next row reads of the current state besides its factors: z on
     # the mask, and off it ||z - z_prev||^2, ||z||^2 and max |z|
@@ -294,11 +279,11 @@ def _masked_complete(inst, lam, gamma, rule, k, M_true, with_energy):
     m, n = inst.shape
     # _iterate sizes check_stop's residual-pair tolerance by the state's first
     # array, here W; these rows always carry stop_metric, so it is never read
-    (W, V, _), trace, status = _iterate(
-        advance, measure, (np.zeros((m, r)), np.zeros((n, r)), np.zeros(len(obs))), rule)
+    res = _iterate(advance, measure,
+                   (np.zeros((m, r)), np.zeros((n, r)), np.zeros(len(obs))), rule)
     # the buffer holds the last z with its mask entries zeroed, or a
     # diverged step's projection
-    return _finish(buf, W, V, trace, status, warm, M_true)
+    return _finish(buf, *res.state[:2], res, warm, M_true)
 
 
 def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
@@ -317,7 +302,7 @@ def dys_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
     same trace columns, but carried as the rank-r factors of z plus one
     vector on the mask (x = z off the mask, x = z - s on it), over one
     dense m x n buffer per run: an iteration forms the projection argument
-    in it and writes z+ back into it, and the buffer is returned as X_opt.
+    in it and writes z+ back into it, and the buffer is returned as x_opt.
     No other dense array is formed unless with_energy asks for the energy
     column, which builds dense x, y and z.
     """
@@ -330,7 +315,7 @@ def drs_complete(inst, rule=None, gamma=None, k=DEFAULT_K, M_true=None,
 
     The instance's lam is ignored; with the smooth term gone, beta = 0
     feeds the step-size root. The iterate is carried as in dys_complete,
-    over one dense buffer that is returned as X_opt.
+    over one dense buffer that is returned as x_opt.
     """
     return _masked_complete(inst, 0.0, gamma, rule, k, M_true, with_energy)
 
@@ -340,7 +325,7 @@ def svp_complete(inst, rule=None, M_true=None):
     truncation, at the step schedule 1 / (p * sqrt(t)).
 
     The iterate X is carried as its rank-r factors over one dense m x n
-    buffer that holds X and is returned as X_opt: a step writes the
+    buffer that holds X and is returned as x_opt: a step writes the
     gradient step into the buffer's mask entries and projects the buffer in
     place, and the change of the estimate, dy_norm, is read from the
     factors.
@@ -368,8 +353,8 @@ def svp_complete(inst, rule=None, M_true=None):
                                stop_metric=_metric_on_mask(x_on, obs))
 
     m, n = inst.shape
-    (W, V), trace, status = _iterate(advance, measure, (np.zeros((m, r)), np.zeros((n, r))), rule)
-    return _finish(buf, W, V, trace, status, warm, M_true)
+    res = _iterate(advance, measure, (np.zeros((m, r)), np.zeros((n, r))), rule)
+    return _finish(buf, *res.state, res, warm, M_true)
 
 
 def shrink_singular_values(X, tau, start_k=4, warm=None):
@@ -438,7 +423,7 @@ def svt_complete(inst, rule=None, M_true=None):
 
     The state is the dual as its vector on the mask plus the primal as its
     shrinkage factors (W, V), over one dense m x n buffer that is returned
-    as X_opt: a step scatters the dual into the zeroed buffer, shrinks it
+    as x_opt: a step scatters the dual into the zeroed buffer, shrinks it
     and writes the primal W V^T back, and the change of the estimate,
     dy_norm, is read from the factors.
     """
@@ -465,6 +450,6 @@ def svt_complete(inst, rule=None, M_true=None):
                                stop_metric=_metric_on_mask(buf.take(flat), obs))
 
     m, n = inst.shape
-    (_, W, V), trace, status = _iterate(
-        advance, measure, (np.zeros(len(obs)), np.zeros((m, 0)), np.zeros((n, 0))), rule)
-    return _finish(buf, W, V, trace, status, warm, M_true)
+    res = _iterate(advance, measure,
+                   (np.zeros(len(obs)), np.zeros((m, 0)), np.zeros((n, 0))), rule)
+    return _finish(buf, *res.state[1:], res, warm, M_true)

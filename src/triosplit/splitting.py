@@ -21,7 +21,7 @@ toward it whenever the iterates move too fast or grow too large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
@@ -175,12 +175,39 @@ class RunTrace:
             f.write(",".join(cells) + "\n")
 
 
-class RunResult(NamedTuple):
-    """What every solver loop returns: the last finite state, its trace, a status."""
+@dataclass(frozen=True)
+class RunResult:
+    """What every solver returns.
 
-    state: tuple  # a SplittingState, or a plain tuple of arrays for the baselines
+    state is the last finite state (a SplittingState, or the tuple of
+    arrays a completion solver carries), trace its rows and status one of
+    CONVERGED, MAX_ITER, DIVERGED. x_opt is the reported solution: a vector
+    for sensing, the dense matrix for completion; _iterate leaves it None
+    and each solver fills it. relative_error is None unless a truth was
+    given. The svd_* fields are the run's SvdWarmStart totals, 0 for a
+    solver that takes no SVD: svd_sweeps counts Lanczos steps and block
+    sweeps, svd_products their matrix-vector products with the operand or
+    its transpose, and svd_change is the last SVD's max |s - s_prev| / s_1
+    if it was an unsettled one-sweep call, 0.0 after a settled one.
+    """
+
+    state: tuple
     trace: RunTrace
     status: str
+    x_opt: Optional[np.ndarray] = None
+    relative_error: Optional[float] = None
+    svd_sweeps: int = 0
+    svd_products: int = 0
+    svd_change: float = 0.0
+
+    @property
+    def iterations(self):
+        return len(self.trace)
+
+    @property
+    def X_opt(self):
+        # the benchmark's workloads read completion results by this name
+        return self.x_opt
 
 
 def dys_step(problem, state, gamma):
@@ -363,10 +390,11 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
 
     Returns
     -------
-    RunResult with the final SplittingState, the trace, and a status among
-    "converged", "max_iter", "diverged". Non-finite iterates stop the run
-    with the last finite state. An oracle that raises, or returns a y or z
-    whose shape differs from x's, raises OracleError naming the iteration.
+    RunResult with the final SplittingState, the trace, a status among
+    "converged", "max_iter", "diverged", and x_opt the state's z.
+    Non-finite iterates stop the run with the last finite state. An oracle
+    that raises, or returns a y or z whose shape differs from x's, raises
+    OracleError naming the iteration.
     """
     steps = _StepPolicy(problem.L, problem.l, problem.beta, gamma=gamma, k=k)
     if rule is None:
@@ -395,11 +423,13 @@ def run(problem, x0, gamma=None, k=None, rule=None, stop_metric=None):
         steps.update(row)
         return row
 
-    return _iterate(advance, measure, start, rule)
+    res = _iterate(advance, measure, start, rule)
+    return replace(res, x_opt=res.state.z)
 
 
 def _iterate(advance, measure, start, rule, trace=None):
-    """The one iteration loop behind every solver; returns a RunResult.
+    """The one iteration loop behind every solver; returns a RunResult
+    without x_opt.
 
     advance(state, t) returns iteration t's state, a tuple of arrays (a
     SplittingState or a plain tuple); measure(old, new, t, norms) returns

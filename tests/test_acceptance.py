@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from triosplit.cs import (SensingInstance, admm_lasso, dca_l12, dys_l12,
+from triosplit.cs import (SensingInstance, admm_lasso, dca_l12, dys_l12, evaluate,
                           noise_scaled_weight)
 from triosplit.datagen import (DctSpec, add_noise, gen_dct_matrix,
                                gen_low_rank, gen_sparse_signal,
@@ -23,7 +23,8 @@ from triosplit.matcomp import (CompletionInstance, drs_complete, dys_complete)
 from triosplit.prox import soft_threshold
 from triosplit.splitting import (CONVERGED, SplittingState, StoppingRule,
                                  ThreeTermProblem, dys_step, energy,
-                                 lambda_threshold, max_step_size, run)
+                                 lambda_threshold, max_step_size, run,
+                                 stationarity_bound)
 
 from oracles import drs_reference, fbs_reference, ista_lasso
 
@@ -263,11 +264,11 @@ def test_criterion_07_completion_desk_scale(matcomp_runs):
 def test_criterion_08_sensing_desk_scale(cs_noiseless_runs):
     runs, warm_elapsed = cs_noiseless_runs
     start = time.time()
-    noiseless = [rep for _, rep in runs]
+    noiseless = list(runs)
     for seed in range(5, 10):
         inst = sensing_instance(seed)
-        noiseless.append(dys_l12(inst))
-    successes = [rep for rep in noiseless if rep.success]
+        noiseless.append((inst, dys_l12(inst)))
+    successes = [rep for inst, rep in noiseless if evaluate(rep.x_opt, inst.x_true).success]
     n_success = len(successes)
     mean_err = float(np.mean([rep.relative_error for rep in successes])) if successes else np.inf
 
@@ -322,12 +323,12 @@ def test_criterion_10_stationarity_certificates(matcomp_runs, cs_noiseless_runs)
     for inst, rep in cs_runs:
         if rep.status != CONVERGED:
             continue
-        st = rep.end_state
+        st, gamma = rep.state, rep.trace.last.gamma
         L = gram_spectral_norm(inst.A)
-        factor = L + 1.0 + 1.0 / st["gamma"]
-        bound = factor * np.linalg.norm(st["z"] - st["y"])
+        factor = L + 1.0 + 1.0 / gamma
+        bound = stationarity_bound(st, gamma, L, 1.0)
         tau = (np.sqrt(inst.n) * 1e-7
-               + 1e-5 * max(np.linalg.norm(st["y"]), np.linalg.norm(st["z"])))
+               + 1e-5 * max(np.linalg.norm(st.y), np.linalg.norm(st.z)))
         ok = ok and bound <= 10 * factor * tau
         details.append(f"cs bound/scale={bound / (factor * tau):.2f}")
 

@@ -144,12 +144,13 @@ class TestAdmmLasso:
         rng = np.random.default_rng(3)
         inst = gaussian_instance(rng, 20, 50, 3)
         rule = StoppingRule(eps_abs=1e-7, eps_rel=1e-5, max_iter=100000)
-        rep = admm_lasso(inst, rule=rule, lam=1e-4, rho=1e-3)
+        lam, rho = 1e-4, 1e-3
+        rep = admm_lasso(inst, rule=rule, lam=lam, rho=rho)
         assert rep.status == CONVERGED
-        st = rep.end_state
+        st = rep.state
         solver = GramSolver(inst.A)
-        y1 = solver.solve(st["rho"], inst.A.T @ inst.b + st["rho"] * st["z"] - st["x"])
-        z1 = soft_threshold(y1 + st["x"] / st["rho"], st["lam"] / st["rho"])
+        y1 = solver.solve(rho, inst.A.T @ inst.b + rho * st.z - st.x)
+        z1 = soft_threshold(y1 + st.x / rho, lam / rho)
         move = np.linalg.norm(z1 - rep.x_opt)
         budget = 10 * (rule.eps_abs * np.sqrt(inst.n) + rule.eps_rel * np.linalg.norm(rep.x_opt))
         assert move < budget
@@ -180,16 +181,16 @@ class TestMultiplierLoop:
         assert np.array_equal(state.z, soft_threshold(state.y, lam / rho))
         assert np.array_equal(state.x, rho * (state.y - state.z))
 
-    def test_admm_report_keeps_finite_end_state(self, monkeypatch):
+    def test_admm_result_keeps_finite_state(self, monkeypatch):
         rng = np.random.default_rng(17)
         inst = gaussian_instance(rng, 15, 40, 3)
         monkeypatch.setattr(cs, "GramSolver", NanOnThirdSolve)
         rep = admm_lasso(inst, lam=1e-4, rho=1e-3)
         assert rep.status == DIVERGED
         assert rep.iterations == len(rep.trace) == 2
-        for key in ("y", "z", "x"):
-            assert np.isfinite(rep.end_state[key]).all()
-        assert np.array_equal(rep.x_opt, rep.end_state["z"])
+        for name in ("y", "z", "x"):
+            assert np.isfinite(getattr(rep.state, name)).all()
+        assert np.array_equal(rep.x_opt, rep.state.z)
 
     @pytest.mark.parametrize("solver", [admm_lasso, dca_l12])
     def test_a_failed_solve_raises_oracle_error_naming_its_iteration(self, monkeypatch, solver):
@@ -240,10 +241,11 @@ class TestDcaL12:
         rng = np.random.default_rng(6)
         inst = dct_instance(rng)
         rep = dca_l12(inst)
-        assert rep.success
+        metrics = evaluate(rep.x_opt, inst.x_true)
+        assert metrics.success
         # the outer iterate is not thresholded, so a few entries may sit
         # just above the truncation cutoff
-        assert 5 <= rep.sparsity <= 20
+        assert 5 <= metrics.sparsity <= 20
 
     def test_outer_stop_on_truncated_inner_pass_reports_max_iter(self):
         rng = np.random.default_rng(16)
@@ -264,18 +266,27 @@ class TestDcaL12:
         with pytest.raises(ValueError, match="outer_max"):
             dca_l12(inst, outer_max=0)
 
-    def test_one_more_inner_iteration_barely_moves_reported_point(self):
+    def test_one_more_inner_iteration_barely_moves_reported_point(self, monkeypatch):
         rng = np.random.default_rng(14)
         inst = gaussian_instance(rng, 20, 50, 3)
         rule = StoppingRule(eps_abs=1e-7, eps_rel=1e-5, max_iter=20000)
-        rep = dca_l12(inst, inner_rule=rule, lam=1e-4, rho=1e-3)
+        rho = 1e-3
+        shifts = []
+        loop = cs._multiplier_loop
+
+        def watched(*args, shift=None, **kwargs):
+            shifts.append(shift)
+            return loop(*args, shift=shift, **kwargs)
+
+        monkeypatch.setattr(cs, "_multiplier_loop", watched)
+        rep = dca_l12(inst, inner_rule=rule, lam=1e-4, rho=rho)
         assert rep.status == CONVERGED
-        st = rep.end_state
+        st, shift = rep.state, shifts[-1]
         solver = GramSolver(inst.A)
-        rhs = inst.A.T @ inst.b + st["rho"] * st["z"] - st["x"]
-        if st["shift"] is not None:
-            rhs = rhs + st["shift"]
-        y1 = solver.solve(st["rho"], rhs)
+        rhs = inst.A.T @ inst.b + rho * st.z - st.x
+        if shift is not None:
+            rhs = rhs + shift
+        y1 = solver.solve(rho, rhs)
         move = np.linalg.norm(y1 - rep.x_opt)
         budget = 10 * (rule.eps_abs * np.sqrt(inst.n) + rule.eps_rel * np.linalg.norm(rep.x_opt))
         assert move < budget
@@ -294,8 +305,9 @@ class TestDysL12:
         rng = np.random.default_rng(9)
         inst = dct_instance(rng)
         rep = dys_l12(inst)
-        assert rep.success
-        assert rep.sparsity == 5
+        metrics = evaluate(rep.x_opt, inst.x_true)
+        assert metrics.success
+        assert metrics.sparsity == 5
         assert rep.relative_error < 1e-4
 
     def test_noise_scaled_weight_stays_bounded_and_finds_support(self):
@@ -308,8 +320,8 @@ class TestDysL12:
         rep = dys_l12(inst, lam=noise_scaled_weight(inst.A, sigma))
         assert rep.status == CONVERGED
         peak = np.max(np.abs(inst.x_true))
-        assert np.max(np.abs(rep.end_state["y"])) < 2 * peak
-        assert np.max(np.abs(rep.end_state["x"])) < 2 * peak
+        assert np.max(np.abs(rep.state.y)) < 2 * peak
+        assert np.max(np.abs(rep.state.x)) < 2 * peak
         found = np.flatnonzero(np.abs(rep.x_opt) >= SPARSITY_TRUNCATION)
         assert np.array_equal(found, np.flatnonzero(inst.x_true))
         assert rep.relative_error < 0.1
@@ -345,13 +357,13 @@ class TestDysL12:
         lam = 1e-4
         rep = dys_l12(inst, gamma=0.05, lam=lam,
                       rule=StoppingRule(max_iter=50))
-        st = rep.end_state
+        st, gamma = rep.state, rep.trace.last.gamma
         # replay the final step from (x - (z - y)) and confirm the reported z
-        x_prev = st["x"] - (st["z"] - st["y"])
+        x_prev = st.x - (st.z - st.y)
         solver = GramSolver(inst.A)
-        y1 = solver.solve(1.0 / st["gamma"], inst.A.T @ inst.b + x_prev / st["gamma"])
-        arg = 2.0 * y1 - st["gamma"] * grad_neg_l2(y1, lam) - x_prev
-        assert np.max(np.abs(st["z"] - soft_threshold(arg, st["gamma"] * lam))) < 1e-12
+        y1 = solver.solve(1.0 / gamma, inst.A.T @ inst.b + x_prev / gamma)
+        arg = 2.0 * y1 - gamma * grad_neg_l2(y1, lam) - x_prev
+        assert np.max(np.abs(st.z - soft_threshold(arg, gamma * lam))) < 1e-12
 
     def test_objective_no_worse_than_zero_start(self):
         rng = np.random.default_rng(11)
@@ -370,24 +382,29 @@ class TestDysL12:
         rng = np.random.default_rng(12)
         inst = dct_instance(rng, n=800, s=4)
         rule = StoppingRule(eps_abs=1e-7, eps_rel=1e-5, max_iter=50000)
-        rep = dys_l12(inst, rule=rule)
+        lam = cs.L12_LAMBDA
+        rep = dys_l12(inst, rule=rule, lam=lam)
         assert rep.status == CONVERGED
-        st = rep.end_state
+        st, gamma = rep.state, rep.trace.last.gamma
         solver = GramSolver(inst.A)
-        y1 = solver.solve(1.0 / st["gamma"], inst.A.T @ inst.b + st["x"] / st["gamma"])
-        arg = 2.0 * y1 - st["gamma"] * grad_neg_l2(y1, st["lam"]) - st["x"]
-        z1 = soft_threshold(arg, st["gamma"] * st["lam"])
+        y1 = solver.solve(1.0 / gamma, inst.A.T @ inst.b + st.x / gamma)
+        arg = 2.0 * y1 - gamma * grad_neg_l2(y1, lam) - st.x
+        z1 = soft_threshold(arg, gamma * lam)
         move = np.linalg.norm(z1 - rep.x_opt)
         budget = 10 * (rule.eps_abs * np.sqrt(inst.n) + rule.eps_rel * np.linalg.norm(rep.x_opt))
         assert move < budget
 
     def test_reports_origin_diagnostics(self):
+        # the trace's y_norm column gives the local smoothness constant of
+        # -lam * ||y|| along the run, lam / min ||y||
         rng = np.random.default_rng(13)
         inst = gaussian_instance(rng, 8, 20, 2)
         rep = dys_l12(inst, gamma=0.05, rule=StoppingRule(max_iter=20))
-        assert rep.min_y_norm > 0
-        assert rep.origin_hits == 0
-        assert rep.beta_local == pytest.approx(1e-5 / rep.min_y_norm)
+        y_norms = rep.trace.column("y_norm")
+        assert len(y_norms) == rep.iterations
+        assert y_norms[-1] == np.linalg.norm(rep.state.y)
+        assert np.min(y_norms) > 0  # so lam / min ||y|| is finite
+        assert np.count_nonzero(y_norms < 1e-12) == 0  # no iterate at the origin
 
     def test_energy_recording_on_request(self):
         rng = np.random.default_rng(15)

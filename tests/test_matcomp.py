@@ -78,7 +78,7 @@ class TestAgainstDenseReference:
         ref = dense_complete(inst, lam, gamma=gamma, with_energy=with_energy)
         assert res.status == ref.status == CONVERGED
         assert res.iterations == len(ref.trace)
-        assert np.linalg.norm(res.X_opt - ref.state.z) <= 1e-12 * np.linalg.norm(ref.state.z)
+        assert np.linalg.norm(res.x_opt - ref.state.z) <= 1e-12 * np.linalg.norm(ref.state.z)
         names = list(vars(ref.trace.last))
         assert list(vars(res.trace.last)) == names
         assert ("energy" in names) == with_energy
@@ -163,7 +163,7 @@ class TestDysComplete:
         assert res.status == CONVERGED
         assert res.relative_error < 1e-3
         assert res.iterations < 300
-        assert masked_relative_residual(res.X_opt, inst.obs) < 1e-4
+        assert masked_relative_residual(res.x_opt, inst.obs) < 1e-4
 
     @pytest.mark.parametrize("gamma", [0.2, None], ids=["fixed-step", "default-policy"])
     def test_zero_weight_matches_two_block_solver(self, desk_instance, gamma):
@@ -174,7 +174,7 @@ class TestDysComplete:
         a = dys_complete(inst0, gamma=gamma, M_true=M)
         b = drs_complete(inst0, gamma=gamma, M_true=M)
         assert a.iterations == b.iterations
-        assert np.array_equal(a.X_opt, b.X_opt)
+        assert np.array_equal(a.x_opt, b.x_opt)
 
     def test_step_starts_at_k_times_the_root_of_the_objectives_constants(self, desk_instance):
         inst, _ = desk_instance
@@ -232,7 +232,7 @@ class TestDysComplete:
         capped = solver(inst, rule=default_masked_rule(max_iter=diverges_at - 1))
         assert res.status == splitting.DIVERGED
         assert res.iterations == diverges_at - 1 >= 1
-        assert np.array_equal(res.X_opt, capped.X_opt)
+        assert np.array_equal(res.x_opt, capped.x_opt)
 
     def test_energy_recording_on_request(self):
         inst, M = make_instance(30, 2, 0.6, 1e-6, seed=11)
@@ -292,7 +292,7 @@ class TestSvpComplete:
         inst = CompletionInstance(obs, (5, 5), 1, 0.0)
         res = svp_complete(inst)
         assert res.status == CONVERGED
-        assert np.array_equal(res.X_opt, np.zeros((5, 5)))
+        assert np.array_equal(res.x_opt, np.zeros((5, 5)))
 
     def test_desk_scale_slower_than_three_block(self, desk_instance):
         inst, M = desk_instance
@@ -309,7 +309,7 @@ class TestBaselineTraces:
         res = svp_complete(inst, rule=default_masked_rule(max_iter=5))
         t = np.arange(1, len(res.trace) + 1)
         assert np.allclose(res.trace.column("gamma"), 1.0 / (inst.p * np.sqrt(t)))
-        assert res.trace.last.stop_metric == masked_relative_residual(res.X_opt, inst.obs)
+        assert res.trace.last.stop_metric == masked_relative_residual(res.x_opt, inst.obs)
         for name in ("energy", "zy_gap", "y_norm"):
             with pytest.raises(KeyError):
                 res.trace.column(name)
@@ -318,7 +318,7 @@ class TestBaselineTraces:
         inst, _ = make_instance(25, 2, 0.4, 0.0, seed=6)
         res = svt_complete(inst, rule=default_masked_rule(max_iter=5))
         assert np.all(res.trace.column("gamma") == 1.2 / inst.p)
-        assert res.trace.last.stop_metric == masked_relative_residual(res.X_opt, inst.obs)
+        assert res.trace.last.stop_metric == masked_relative_residual(res.x_opt, inst.obs)
         with pytest.raises(KeyError):
             res.trace.column("s_dual")
 
@@ -360,8 +360,8 @@ class TestSvtComplete:
         inst, M = desk_instance
         res = svt_complete(inst, M_true=M)
         assert res.status == CONVERGED
-        assert masked_relative_residual(res.X_opt, inst.obs) < 1e-4
-        s = np.linalg.svd(res.X_opt, compute_uv=False)
+        assert masked_relative_residual(res.x_opt, inst.obs) < 1e-4
+        s = np.linalg.svd(res.x_opt, compute_uv=False)
         rank = int(np.count_nonzero(s > 1e-8 * s[0]))
         assert rank >= 1  # not pinned to inst.r by construction
 
@@ -602,22 +602,23 @@ class TestWarmStart:
         assert res.iterations > 1
         assert draws == [0]
 
-    def test_warm_shrinkage_halves_svd_sweeps(self, tiny_instance, monkeypatch):
+    def test_warm_shrinkage_halves_svd_products(self, tiny_instance, monkeypatch):
+        # products, not sweeps: the cold side's SVDs are Lanczos calls, whose
+        # sweeps count steps, against the warm side's block sweeps
         inst, M = tiny_instance
-        sweeps = []
+        products = []
         for cold in (False, True):
             with monkeypatch.context() as patch:
-                calls = SvdCalls(patch, cold)
-                svt_complete(inst, M_true=M)
-            sweeps.append(calls.sweeps)
-        assert 0 < sweeps[0] <= 0.5 * sweeps[1]
+                SvdCalls(patch, cold)
+                products.append(svt_complete(inst, M_true=M).svd_products)
+        assert 0 < products[0] <= 0.5 * products[1]
 
     def test_shrinkage_reruns_are_identical(self, tiny_instance):
         # the basis lives in the run, so a second run starts cold like the first
         inst, M = tiny_instance
         a, b = svt_complete(inst, M_true=M), svt_complete(inst, M_true=M)
         assert a.iterations == b.iterations
-        assert np.array_equal(a.X_opt, b.X_opt)
+        assert np.array_equal(a.x_opt, b.x_opt)
 
 
 class TestDescentInsideTheLemma:

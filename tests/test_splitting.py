@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from triosplit.datagen import (DctSpec, gen_dct_matrix, gen_low_rank, gen_sparse
 from triosplit.linalg import ObservationSet
 from triosplit.prox import GramSolver, soft_threshold
 from triosplit.splitting import (CONVERGED, DIVERGED, MAX_ITER,
-                                 DiagnosticsUnavailable, OracleError, RunTrace,
+                                 DiagnosticsUnavailable, OracleError, RunResult, RunTrace,
                                  SplittingState, StoppingRule,
                                  ThreeTermProblem, _iterate, adapt_gamma,
                                  check_stop, dys_step, energy, lambda_threshold,
@@ -350,8 +351,18 @@ PLAIN_RULE = StoppingRule(max_iter=200)
         "svp_complete", "svt_complete"])
 def test_every_solver_stops_under_a_plain_rule(call, dims):
     """Each solver's rows pick the test it can evaluate; none raises, and
-    every solver counts its iterations as the rows of its trace."""
+    every solver counts its iterations as the rows of its trace. Every
+    solver returns one frozen type."""
     res = call()
+    assert isinstance(res, RunResult)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.status = CONVERGED
+    assert res.X_opt is res.x_opt
+    if res.x_opt.ndim == 1:  # the sensing instance carries its truth
+        truth = small_sensing_instance().x_true
+        assert res.relative_error == cs.evaluate(res.x_opt, truth).relative_error
+    else:  # the completion calls pass none
+        assert res.relative_error is None
     assert res.status in (CONVERGED, MAX_ITER, DIVERGED)
     assert res.iterations == len(res.trace)
     if res.status == CONVERGED:
@@ -396,7 +407,7 @@ def scaled_completion_run(solver, c):
     obs = observe(M, *sample_omega(100, 100, 4000, rng))
     scaled = ObservationSet(obs.rows, obs.cols, obs.values * c, obs.shape)
     res = solver(matcomp.CompletionInstance(scaled, (100, 100), 5, matcomp.DEFAULT_LAMBDA))
-    return res.status, res.iterations, res.X_opt
+    return res.status, res.iterations, res.x_opt
 
 
 def scaled_sensing_run(c):
@@ -766,28 +777,27 @@ class TestIterate:
         return SimpleNamespace(t=t, stop_metric=1.0 / t, y_inf=float(np.max(new[0])))
 
     def test_nonfinite_step_keeps_last_finite_state(self):
-        state, trace, status = _iterate(self.doubling(3), self.measure, (np.ones(2),),
-                                        StoppingRule(max_iter=10))
-        assert status == DIVERGED
-        assert len(trace) == 2
-        assert np.array_equal(state[0], np.full(2, 4.0))
+        res = _iterate(self.doubling(3), self.measure, (np.ones(2),), StoppingRule(max_iter=10))
+        assert res.status == DIVERGED
+        assert len(res.trace) == 2
+        assert np.array_equal(res.state[0], np.full(2, 4.0))
 
     # at 1e200 the entries are finite but their squared norm overflows, so
     # the finiteness test must fall back to reading the entries
     @pytest.mark.parametrize("value", [1e31, 1e200])
     def test_recorded_blowup_keeps_that_state(self, value):
-        state, trace, status = _iterate(self.doubling(3, value), self.measure, (np.ones(2),),
-                                        StoppingRule(max_iter=10))
-        assert status == DIVERGED
-        assert len(trace) == 3
-        assert trace.last.y_inf == 4 * value
+        res = _iterate(self.doubling(3, value), self.measure, (np.ones(2),),
+                       StoppingRule(max_iter=10))
+        assert res.status == DIVERGED
+        assert len(res.trace) == 3
+        assert res.trace.last.y_inf == 4 * value
 
     def test_stop_test_reads_the_new_row(self):
         rule = StoppingRule(eps_rel=0.2, max_iter=10)
-        _, trace, status = _iterate(self.doubling(None), self.measure, (np.ones(2),), rule)
-        assert status == CONVERGED
-        assert len(trace) == 6  # 1/6 < 0.2 <= 1/5
-        _, trace, status = _iterate(self.doubling(None), self.measure, (np.ones(2),),
-                                    StoppingRule(eps_rel=0.01, max_iter=4))
-        assert status == MAX_ITER
-        assert np.array_equal(trace.column("iter"), [1, 2, 3, 4])
+        res = _iterate(self.doubling(None), self.measure, (np.ones(2),), rule)
+        assert res.status == CONVERGED
+        assert len(res.trace) == 6  # 1/6 < 0.2 <= 1/5
+        res = _iterate(self.doubling(None), self.measure, (np.ones(2),),
+                       StoppingRule(eps_rel=0.01, max_iter=4))
+        assert res.status == MAX_ITER
+        assert np.array_equal(res.trace.column("iter"), [1, 2, 3, 4])
